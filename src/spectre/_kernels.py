@@ -1,6 +1,9 @@
-"""NumPy fallback for the run-length partial-sum kernel."""
+"""Run-length partial-sum kernel (NumPy)."""
 
 import numpy as np
+
+# the one implementation; recorded in benchmark provenance
+IMPL = "python"
 
 
 def partial_sums_at(values, counts, checkpoints):

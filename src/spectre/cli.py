@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import random
 import sys
 from fractions import Fraction
@@ -18,25 +18,28 @@ from fractions import Fraction
 import numpy as np
 
 
-def _threads_cap():
-    """SPECTRE_THREADS caps internal parallelism (the numeric kernels are
-    single-threaded; the cap is forwarded to BLAS-style pools)."""
-    raw = os.environ.get("SPECTRE_THREADS")
-    if raw is None:
-        return None
+class UsageError(Exception):
+    """Bad command-line input, reported on stderr with exit code 2."""
+
+
+def _number(text, kind, where):
     try:
-        n = int(raw)
+        return kind(text)
     except ValueError:
-        raise SystemExit(2)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    return n
+        raise UsageError(f"{where}: not a number: {text!r}") from None
+
+
+def _schedule(text):
+    schedule = [_number(x, int, "--schedule") for x in text.split(",")]
+    if min(schedule) < 2:
+        raise UsageError("--schedule: entries must be >= 2")
+    return schedule
 
 
 def _emit(payload, fmt="json"):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2,
+                         allow_nan=False))
     elif fmt == "csv":
         rows = payload.get("csv_rows")
         if rows is None:
@@ -106,9 +109,19 @@ def cmd_dixmier(args):
     if args.csv:
         runs = []
         with open(args.csv, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if row and not row[0].startswith("#"):
-                    runs.append((float(row[0]), int(row[1])))
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                where = f"{args.csv}:{reader.line_num}"
+                if len(row) < 2:
+                    raise UsageError(f"{where}: row needs value,count")
+                value = _number(row[0], float, where)
+                count = _number(row[1], int, where)
+                if not (math.isfinite(value) and value > 0 and count >= 1):
+                    raise UsageError(f"{where}: needs a finite value > 0 "
+                                     "and a count >= 1")
+                runs.append((value, count))
         values = np.array([v for v, _ in runs])
         counts = np.array([c for _, c in runs], dtype=np.int64)
 
@@ -126,7 +139,7 @@ def cmd_dixmier(args):
     else:
         print("dixmier needs --seq or --csv", file=sys.stderr)
         return 2
-    schedule = [int(x) for x in args.schedule.split(",")]
+    schedule = _schedule(args.schedule)
     est = dx.dixmier_estimate(seq, schedule)
     payload = est.as_dict()
     payload["sequence"] = seq.name
@@ -140,7 +153,7 @@ def cmd_dixmier(args):
 
 def cmd_volume(args):
     from . import model_triples as mt
-    schedule = [int(x) for x in args.schedule.split(",")]
+    schedule = _schedule(args.schedule)
     est, expected = mt.volume_check(args.model, p=args.p, schedule=schedule)
     ratio = est.value / expected
     payload = {"model": args.model, "p": args.p or
@@ -169,11 +182,18 @@ def cmd_distance(args):
         for row in reader:
             if not row:
                 continue
-            u, v, l = row[0].strip(), row[1].strip(), float(row[2])
+            where = f"{args.graph}:{reader.line_num}"
+            if len(row) < 3:
+                raise UsageError(f"{where}: row needs u,v,length")
+            u, v = row[0].strip(), row[1].strip()
+            l = _number(row[2], float, where)
             verts.add(u)
             verts.add(v)
             edges.append((u, v, l))
-    g = mt.MetricGraph(sorted(verts), edges)
+    try:
+        g = mt.MetricGraph(sorted(verts), edges)
+    except ValueError as exc:
+        raise UsageError(f"{args.graph}: {exc}") from None
     try:
         d = mt.connes_distance(g, args.src, args.dst, cross_validate=True)
     except ValueError as exc:
@@ -191,8 +211,7 @@ def cmd_wres(args):
     torsion = args.torsion == "on"
     raw = w.integrand(p, parity=parity)
     inv = w.cosphere_integrate(raw, p)
-    action = w.gravity_action(p, torsion=torsion,
-                              path=parity if p > 2 else None)
+    action = w.action_from_invariant(inv, p, torsion)
     integrand_terms = [
         {"spow": str(spow), "tens": _fmt_factors(tens),
          "mat": _fmt_factors(mat),
@@ -267,7 +286,6 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    _threads_cap()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -278,6 +296,9 @@ def main(argv=None):
         return 2
     try:
         return _DISPATCH[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

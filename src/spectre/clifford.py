@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wodzicki import trace_gamma_word
+from .rationals import GQ, ONE
+from .symbols import SymbolExpr
 
 MAX_DIM = 12
 
@@ -242,12 +243,34 @@ def _check_real_structure(rs, p):
 
 
 def gamma_word_trace(word, p):
-    """Symbolic spinor trace of a gamma word (tuple of index labels;
-    a repeated label is a contraction): a delta polynomial times 2^[p/2].
-    Odd-length words are traceless."""
+    """Symbolic spinor trace of a gamma word (sequence of index labels;
+    a repeated label is a contraction) with the -2 delta anticommutator:
+    a delta polynomial times 2^[p/2].  Odd-length words are traceless."""
+    if not 1 <= p <= MAX_DIM:
+        raise ValueError(f"dimension {p} outside supported range "
+                         f"1..{MAX_DIM}")
     if len(word) > 8:
-        raise ValueError("words longer than 8 are not supported")
-    return trace_gamma_word(tuple(word), p)
+        raise ValueError("gamma words longer than 8 are not supported")
+
+    def rec(lbls):
+        if len(lbls) % 2 == 1:
+            return SymbolExpr.zero(p)
+        if not lbls:
+            return SymbolExpr.const(p, GQ(2 ** (p // 2)))
+        first = lbls[0]
+        out = SymbolExpr.zero(p)
+        for j in range(1, len(lbls)):
+            sign = GQ(-1) if j % 2 == 0 else ONE
+            # (-1)^j with 1-based j for positions 2..n, times the -delta
+            # from the anticommutator
+            rest = lbls[1:j] + lbls[j + 1:]
+            sub = rec(rest)
+            dl = SymbolExpr.mono(p, coeff=GQ(-1),
+                                 tens=(('dl', first, lbls[j]),))
+            out = out + (dl * sub).scale(sign)
+        return out
+
+    return rec(tuple(word))
 
 
 def numeric_word_trace(word, p):

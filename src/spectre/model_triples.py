@@ -165,30 +165,6 @@ def volume_check(model, p=None, schedule=None, spin_offset=0.0):
 
 
 # ----------------------------------------------------------------------
-# experimental: round sphere spectrum (behind a flag; multiplicities
-# validated only through a growth-law fit, not part of acceptance)
-
-def sphere_singular_values(experimental=False):
-    if not experimental:
-        raise ValueError("the 2-sphere spectrum is experimental; pass "
-                         "experimental=True")
-
-    def fn(n):
-        ks = []
-        vals = []
-        counts = []
-        k = 1
-        total = 0
-        while total < n:
-            vals.append(1.0 / k)
-            counts.append(4 * k)      # +-k each with multiplicity 2k
-            total += 4 * k
-            k += 1
-        return np.array(vals), np.array(counts, dtype=np.int64)
-    return SingularValueSeq(fn, name="sphere(experimental)")
-
-
-# ----------------------------------------------------------------------
 # metric graphs and the spectral distance
 
 @dataclass
@@ -200,8 +176,8 @@ class MetricGraph:
     def __post_init__(self):
         self._adj = {v: [] for v in self.vertices}
         for u, v, l in self.edges:
-            if l <= 0:
-                raise ValueError("edge lengths must be positive")
+            if not (math.isfinite(l) and l > 0):
+                raise ValueError("edge lengths must be finite and positive")
             if u not in self._adj or v not in self._adj:
                 raise ValueError("edge endpoint outside vertex set")
             self._adj[u].append((v, float(l)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .clifford import gamma_word_trace
 from .rationals import GQ, I, ONE
 from .symbols import (JetExhausted, SymbolExpr, compose, fresh_label,
                       perm_parity, relabel_fresh, sigma2_pow)
@@ -486,34 +487,6 @@ def _pow2(p):
     return 2 ** (p // 2)
 
 
-def trace_gamma_word(labels, p):
-    """Symbolic spinor trace of a product of gamma factors with the
-    -2 delta anticommutator: a polynomial in deltas times 2^[p/2]."""
-    _check_p(p)
-    if len(labels) > 8:
-        raise ValueError("gamma words longer than 8 are not supported")
-
-    def rec(lbls):
-        if len(lbls) % 2 == 1:
-            return SymbolExpr.zero(p)
-        if not lbls:
-            return SymbolExpr.const(p, GQ(_pow2(p)))
-        first = lbls[0]
-        out = SymbolExpr.zero(p)
-        for j in range(1, len(lbls)):
-            sign = GQ(-1) if j % 2 == 0 else ONE
-            # (-1)^j with 1-based j for positions 2..n, times the -delta
-            # from the anticommutator
-            rest = lbls[1:j] + lbls[j + 1:]
-            sub = rec(rest)
-            dl = SymbolExpr.mono(p, coeff=GQ(-1),
-                                 tens=(('dl', first, lbls[j]),))
-            out = out + (dl * sub).scale(sign)
-        return out
-
-    return rec(tuple(labels))
-
-
 _EXPAND_GAMMA = {
     'T': ('t', Fraction(1, 2), 3),
     'dT': ('dt', Fraction(1, 2), 4),
@@ -564,7 +537,7 @@ def spinor_trace(expr, p):
         for f in mat:
             assert f[0] == 'g'
             labels.append(f[1])
-        tr = trace_gamma_word(tuple(labels), p)
+        tr = gamma_word_trace(labels, p)
         pre = SymbolExpr.mono(p, coeff=c, spow=spow, tens=tens)
         out = out + pre * tr
     return out
@@ -637,22 +610,28 @@ def gravity_action(p, torsion=True, path=None):
     """Coefficients of the curvature and squared-torsion terms of the
     residue of |D|^(2-p), as exact rational multiples of c(p)."""
     _check_p(p)
-    if p < 3:
-        if p == 2:
-            return GravityAction(p, torsion, Fraction(0), Fraction(0))
+    if p < 2:
         raise ValueError("gravity action needs p >= 2")
+    if p == 2:
+        return action_from_invariant(None, p, torsion)
     if path is None:
         path = 'even' if p % 2 == 0 else 'odd'
     if path == 'shortcut':
         raw = integrand_even_shortcut(p)
     else:
         raw = integrand(p, parity=path)
-    inv = cosphere_integrate(raw, p)
+    return action_from_invariant(cosphere_integrate(raw, p), p, torsion)
+
+
+def action_from_invariant(inv, p, torsion=True):
+    """Gravity-action coefficients from the cosphere invariant of the
+    order-(-p) integrand; p = 2 has neither term and reads no invariant."""
+    if p == 2:
+        return GravityAction(p, torsion, Fraction(0), Fraction(0))
     traced = trace_reduce(inv, p, torsion)
-    coeff_R = traced.R
     coeff_t2 = traced.t2 if torsion else Fraction(0)
     # the boundary term integrates to zero against the volume form
-    return GravityAction(p, torsion, coeff_R, coeff_t2)
+    return GravityAction(p, torsion, traced.R, coeff_t2)
 
 
 def quadratic_form_coeff(p):

@@ -147,3 +147,69 @@ def test_csv_format_output(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "N,partial_ratio"
     assert len(lines) == 4
+
+
+def assert_usage_error(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_distance_short_row_usage_error(capsys, tmp_path):
+    f = tmp_path / "graph.csv"
+    f.write_text("u,v,length\nA,B,1.0\nB,C\n", encoding="utf-8")
+    assert_usage_error(capsys, ["distance", "--graph", str(f),
+                                "--from", "A", "--to", "C"])
+
+
+@pytest.mark.parametrize("length", ["nan", "0", "-1.5", "abc"])
+def test_distance_bad_edge_length_usage_error(capsys, tmp_path, length):
+    f = tmp_path / "graph.csv"
+    f.write_text(f"u,v,length\nA,B,1.0\nB,C,{length}\n", encoding="utf-8")
+    assert_usage_error(capsys, ["distance", "--graph", str(f),
+                                "--from", "A", "--to", "C"])
+
+
+@pytest.mark.parametrize("row", ["inf,2", "nan,2", "0,2", "-1,2", "0.5,0",
+                                 "0.5"])
+def test_dixmier_bad_csv_row_usage_error(capsys, tmp_path, row):
+    f = tmp_path / "runs.csv"
+    rows = [f"{1.0/k},2" for k in range(2, 2000)]
+    f.write_text(row + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert_usage_error(capsys, ["dixmier", "--csv", str(f),
+                                "--schedule", "10,100,1000"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dixmier", "--seq", "harmonic", "--schedule", "1,10,100"],
+    ["volume", "--model", "circle", "--schedule", "1,10,100"],
+    ["dixmier", "--seq", "harmonic", "--schedule", "10,1e2,1000"],
+])
+def test_schedule_usage_error(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+def test_wres_computes_the_integrand_once(capsys, monkeypatch):
+    from spectre import wodzicki
+    calls = []
+    original = wodzicki.integrand
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wodzicki, "integrand", counted)
+    rc, out = run(capsys, ["wres", "--p", "4"])
+    assert rc == 0
+    assert json.loads(out)["coeff_R"]["rational_of_c_p"] == "-1/6"
+    assert len(calls) == 1
+
+
+def test_wres_p2_has_no_action_terms(capsys):
+    rc, out = run(capsys, ["wres", "--p", "2"])
+    assert rc == 0
+    payload = json.loads(out)
+    validate(payload, "wres")
+    assert payload["coeff_R"]["rational_of_c_p"] == "0"
+    assert payload["coeff_t2"]["rational_of_c_p"] == "0"

@@ -1,6 +1,10 @@
 """Gamma sets, chirality, real structures and symbolic traces."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +146,21 @@ def test_word_trace_oracle_exhaustive_small():
 def test_word_length_guard():
     with pytest.raises(ValueError):
         cl.gamma_word_trace(tuple(range(5)) + tuple(range(5)), 4)
+    for p in (0, 13):
+        with pytest.raises(ValueError):
+            cl.gamma_word_trace((1, 1), p)
+
+
+def test_clifford_does_not_import_the_symbol_engine():
+    src = str(pathlib.Path(cl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys, spectre.clifford; "
+            "print('spectre.wodzicki' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_quaternionic_relations_low_dimensions():

@@ -99,18 +99,6 @@ def test_spin_structure_invariance_of_volume():
         vals[0].error_bar + vals[1].error_bar + 0.02
 
 
-def test_sphere_experimental_flag():
-    with pytest.raises(ValueError):
-        mt.sphere_singular_values()
-    seq = mt.sphere_singular_values(experimental=True)
-    v, c = seq.runs(50000)
-    # growth-law fit: eigenvalue counting N(lambda) ~ lambda^2
-    cum = np.cumsum(c)
-    ks = 1.0 / v
-    fit = np.polyfit(np.log(ks[20:]), np.log(cum[20:]), 1)
-    assert abs(fit[0] - 2.0) < 0.05
-
-
 def test_distance_single_edge():
     g = mt.MetricGraph([0, 1], [(0, 1, 1.0)])
     assert mt.connes_distance(g, 0, 1, cross_validate=True) == \
@@ -167,8 +155,9 @@ def test_distance_metric_axioms_randomized():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        mt.MetricGraph([0, 1], [(0, 1, -1.0)])
+    for length in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            mt.MetricGraph([0, 1], [(0, 1, length)])
     with pytest.raises(ValueError):
         mt.MetricGraph([0], [(0, 1, 1.0)])
     with pytest.raises(ValueError):
