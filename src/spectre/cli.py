@@ -31,24 +31,22 @@ def _number(text, kind, where):
 
 def _schedule(text):
     schedule = [_number(x, int, "--schedule") for x in text.split(",")]
+    if len(schedule) < 3:
+        raise UsageError("--schedule: needs at least 3 entries")
     if min(schedule) < 2:
         raise UsageError("--schedule: entries must be >= 2")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise UsageError("--schedule: entries must increase strictly")
     return schedule
 
 
 def _emit(payload, fmt="json"):
-    if fmt == "json":
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            payload["csv_rows"])
+    else:
         print(json.dumps(payload, sort_keys=True, indent=2,
                          allow_nan=False))
-    elif fmt == "csv":
-        rows = payload.get("csv_rows")
-        if rows is None:
-            raise SystemExit(2)
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        for row in rows:
-            w.writerow(row)
-    else:
-        raise SystemExit(2)
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +104,7 @@ def cmd_hochschild(args):
 
 def cmd_dixmier(args):
     from . import dixmier as dx
+    schedule = _schedule(args.schedule)
     if args.csv:
         runs = []
         with open(args.csv, newline="", encoding="utf-8") as fh:
@@ -132,14 +131,11 @@ def cmd_dixmier(args):
         seq = dx.SingularValueSeq(fn, name=args.csv)
     elif args.seq:
         if args.seq not in dx.BUILTINS:
-            print(f"unknown sequence {args.seq!r}; known: "
-                  f"{sorted(dx.BUILTINS)}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown sequence {args.seq!r}; known: "
+                             f"{sorted(dx.BUILTINS)}")
         seq = dx.BUILTINS[args.seq]()
     else:
-        print("dixmier needs --seq or --csv", file=sys.stderr)
-        return 2
-    schedule = _schedule(args.schedule)
+        raise UsageError("dixmier needs --seq or --csv")
     est = dx.dixmier_estimate(seq, schedule)
     payload = est.as_dict()
     payload["sequence"] = seq.name
@@ -153,6 +149,13 @@ def cmd_dixmier(args):
 
 def cmd_volume(args):
     from . import model_triples as mt
+    if args.p is not None:
+        if args.model == "circle":
+            raise UsageError("--p: the circle model is 1-dimensional; "
+                             "omit --p")
+        if not 2 <= args.p <= mt.MAX_TORUS_P:
+            raise UsageError(f"--p: torus dimension {args.p} outside "
+                             f"2..{mt.MAX_TORUS_P}")
     schedule = _schedule(args.schedule)
     est, expected = mt.volume_check(args.model, p=args.p, schedule=schedule)
     ratio = est.value / expected
@@ -175,10 +178,9 @@ def cmd_distance(args):
     edges = []
     with open(args.graph, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["u", "v", "length"]:
-            print("graph CSV needs header u,v,length", file=sys.stderr)
-            return 2
+            raise UsageError(f"{args.graph}: needs header u,v,length")
         for row in reader:
             if not row:
                 continue
@@ -205,29 +207,24 @@ def cmd_distance(args):
 
 def cmd_wres(args):
     from . import wodzicki as w
-    from .model_triples import c_p
     p = args.p
-    parity = args.parity or ("even" if p % 2 == 0 else "odd")
-    torsion = args.torsion == "on"
+    if not 2 <= p <= w.MAX_P:
+        raise UsageError(f"--p: {p} outside 2..{w.MAX_P}")
+    parity = "even" if p % 2 == 0 else "odd"
+    if args.parity not in (None, parity):
+        raise UsageError(f"--parity {args.parity}: p = {p} is {parity}")
     raw = w.integrand(p, parity=parity)
     inv = w.cosphere_integrate(raw, p)
-    action = w.action_from_invariant(inv, p, torsion)
-    integrand_terms = [
+    payload = w.action_from_invariant(inv, p, args.torsion == "on").as_dict()
+    payload["parity"] = parity
+    payload["integrand"] = [
         {"spow": str(spow), "tens": _fmt_factors(tens),
          "mat": _fmt_factors(mat),
          "coeff": {"re": str(c.re), "im": str(c.im)}}
         for (spow, tens, mat), c in sorted(
             raw.terms.items(), key=lambda kv: str(kv[0]))]
-    payload = {
-        "p": p, "parity": parity, "torsion": torsion,
-        "integrand": integrand_terms,
-        "cosphere_invariant": {k: str(v) for k, v in
-                               inv.as_dict().items()},
-        "coeff_R": {"rational_of_c_p": str(action.coeff_R),
-                    "decimal": float(action.coeff_R) * c_p(p)},
-        "coeff_t2": {"rational_of_c_p": str(action.coeff_t2),
-                     "decimal": float(action.coeff_t2) * c_p(p)},
-    }
+    payload["cosphere_invariant"] = {k: str(v) for k, v in
+                                     inv.as_dict().items()}
     _emit(payload, args.format)
     return 0
 
@@ -275,6 +272,9 @@ def build_parser():
     return ap
 
 
+# subcommands whose payload carries "csv_rows"
+_CSV_COMMANDS = ("dixmier", "volume")
+
 _DISPATCH = {
     "clifford-table": cmd_clifford_table,
     "hochschild": cmd_hochschild,
@@ -295,6 +295,9 @@ def main(argv=None):
         ap.print_usage(sys.stderr)
         return 2
     try:
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
+            raise UsageError(f"--format csv: {args.command} has no CSV "
+                             "output")
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

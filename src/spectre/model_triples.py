@@ -68,6 +68,9 @@ def circle_singular_values(spec):
                             kernel_dim=kernel)
 
 
+MAX_TORUS_P = 4
+
+
 @dataclass
 class TorusSpec:
     p: int = 2
@@ -75,8 +78,8 @@ class TorusSpec:
     offsets: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (2 <= self.p <= 4):
-            raise ValueError("torus dimension 2..4")
+        if not (2 <= self.p <= MAX_TORUS_P):
+            raise ValueError(f"torus dimension 2..{MAX_TORUS_P}")
         if len(self.radii) != self.p or len(self.offsets) != self.p:
             raise ValueError("radii/offsets length must equal p")
         if any(r <= 0 for r in self.radii):
@@ -86,40 +89,30 @@ class TorusSpec:
 
 
 def torus_eigenvalue_grid(spec, shell_radius):
-    """Magnitudes |sum_j (k_j + o_j)^2 / r_j^2|^(1/2) for integer vectors k
-    with every |k_j + o_j| / r_j <= shell_radius."""
-    axes = []
+    """Squared magnitudes sum_j (k_j + o_j)^2 / r_j^2, flattened, for integer
+    vectors k with every |k_j + o_j| / r_j <= shell_radius."""
+    lam2 = np.zeros(())
     for r, o in zip(spec.radii, spec.offsets):
         span = int(math.floor(shell_radius * r - o)) + 1
-        axes.append((np.arange(-span, span + 1, dtype=np.float64) + o) / r)
-    grids = np.meshgrid(*axes, indexing='ij')
-    lam2 = sum(g * g for g in grids)
-    return np.sqrt(lam2.ravel())
+        axis = (np.arange(-span, span + 1, dtype=np.float64) + o) / r
+        lam2 = np.add.outer(lam2, axis * axis)
+    return lam2.ravel()
 
 
 def torus_singular_values(spec, max_terms=2 * 10**7):
     """Singular values of the inverse operator: 1/|lambda| over the dual
     lattice with spinor multiplicity 2^[p/2], merged into decreasing
-    runs with exact magnitude ties."""
+    runs of exactly equal squared magnitudes."""
     mult = 2 ** (spec.p // 2)
     # choose the shell just large enough for max_terms
     vol_ball = math.pi ** (spec.p / 2) / math.gamma(spec.p / 2 + 1)
     dens = np.prod(spec.radii) * vol_ball
     shell = (1.25 * max_terms / (mult * dens)) ** (1.0 / spec.p) + 2
-    lam = torus_eigenvalue_grid(spec, shell)
-    lam = lam[lam > 0]
-    lam = np.sort(lam)
-    # exact tie grouping on the squared magnitudes (integers over a common
-    # denominator for rational radii/offsets)
-    lam2 = lam * lam
-    keys = np.round(lam2 * 4 * np.prod(np.array(spec.radii) ** 2)).astype(
-        np.int64)
-    uniq, counts = np.unique(keys, return_counts=True)
-    order = np.argsort(uniq)
-    uniq, counts = uniq[order], counts[order]
-    mags = np.sqrt(uniq / (4.0 * np.prod(np.array(spec.radii) ** 2)))
-    values = 1.0 / mags
-    counts = counts * mult
+    uniq, counts = np.unique(torus_eigenvalue_grid(spec, shell),
+                             return_counts=True)
+    keep = uniq > 0
+    values = 1.0 / np.sqrt(uniq[keep])
+    counts = counts[keep] * mult
 
     def fn(n):
         if n > counts.sum():
@@ -140,7 +133,7 @@ def torus_power_sequence(spec, power, max_terms=2 * 10**7):
 
 def lattice_count_inside(spec, radius):
     """Direct count of lattice points with 0 < |lambda| <= radius."""
-    lam = torus_eigenvalue_grid(spec, radius + 1e-9)
+    lam = np.sqrt(torus_eigenvalue_grid(spec, radius + 1e-9))
     return int(np.count_nonzero((lam > 0) & (lam <= radius + 1e-12)))
 
 

@@ -20,6 +20,13 @@ Matrix factor kinds: ('a', i), ('da', i, j), ('b',), ('om', i),
 ('dom', i, j), ('T', i), ('dT', i, j), ('g', i) gamma, ('W', i, j) the
 commutator of covariant derivatives (antisymmetric).
 
+Label convention: a negative label is a dummy, summed inside its
+monomial, and a positive label is free.  Canonical form writes the dummies
+of a monomial as -1, -2, ..., -k, so constructors may write dummies as
+literal negative labels.  Products shift the dummies of the right factor
+below those of the left one, and compositions pick derivative labels above
+every label of their inputs, so the engine draws no global labels.
+
 Metric jet convention: the engine expands the squared norm as
 S - (1/6) R(r0,r1,c0,c1) xi_{r0} xi_{r1} x^{c0} x^{c1}, which realizes the
 derivative table rule  d^2/dx^mu dx^nu S^{-1} -> (1/3) R^{..}_{mu nu} xi xi S^{-2}
@@ -34,8 +41,8 @@ from fractions import Fraction
 
 from .rationals import GQ, ONE
 
-# Labels >= FRESH_BASE are reserved for transient dummies created while
-# building expressions; canonical dummies are relabelled to 0, 1, 2, ...
+# fresh_label() hands out distinct positive labels from FRESH_BASE upward
+# for expressions built by hand; the engine itself never calls it.
 FRESH_BASE = 1000
 _fresh_counter = itertools.count(FRESH_BASE)
 
@@ -361,23 +368,18 @@ class SymbolExpr:
         return self.scale(GQ(-1))
 
     def __mul__(self, other):
-        """Product; shared free labels contract, dummy labels are kept
-        disjoint automatically."""
+        """Product; shared free labels contract.  Each left monomial keeps
+        its canonical dummies -1..-k and the right one's are shifted below
+        them."""
         assert self.dim == other.dim
         out = SymbolExpr(self.dim)
         for (sp1, t1, m1), c1 in self.terms.items():
-            d1 = _dummy_labels(t1, m1)
-            map1 = {d: fresh_label() for d in d1}
-            t1r = tuple(_replace_indices(f, map1) for f in t1)
-            m1r = tuple(_replace_indices(f, map1) for f in m1)
+            k = max(0, -min(_labels(t1 + m1), default=0))
             for (sp2, t2, m2), c2 in other.terms.items():
-                d2 = _dummy_labels(t2, m2)
-                map2 = {d: fresh_label() for d in d2}
-                t2r = tuple(_replace_indices(f, map2) for f in t2)
-                m2r = tuple(_replace_indices(f, map2) for f in m2)
-                if _xdeg_t(t1r) + _xdeg_t(t2r) > 2:
+                if _xdeg_t(t1) + _xdeg_t(t2) > 2:
                     continue
-                out._accum(sp1 + sp2, t1r + t2r, m1r + m2r, c1 * c2)
+                out._accum(sp1 + sp2, t1 + _shift_dummies(t2, k),
+                           m1 + _shift_dummies(m2, k), c1 * c2)
         return out
 
     # -- structure -----------------------------------------------------
@@ -466,29 +468,31 @@ def _fmt_factor(f):
     return f"{f[0]}({','.join(map(str, f[1:]))})"
 
 
-def _dummy_labels(tens, mat):
-    counts = {}
-    for f in list(tens) + list(mat):
-        for i in _indices_of(f):
-            counts[i] = counts.get(i, 0) + 1
-    return {i for i, c in counts.items() if c == 2}
+def _labels(factors):
+    return (i for f in factors for i in f[1:])
 
 
-def relabel_fresh(tens, mat):
-    """Replace the canonical (negative) labels of a decomposed monomial by
-    fresh ones so its parts can be recombined without collisions."""
-    mapping = {}
+def _top_label(factors):
+    """Largest positive label of the factors, 0 if there is none."""
+    return max(0, max(_labels(factors), default=0))
 
-    def conv(i):
-        if i >= 0:
-            return i
-        if i not in mapping:
-            mapping[i] = fresh_label()
-        return mapping[i]
 
-    tens = tuple((f[0],) + tuple(conv(i) for i in f[1:]) for f in tens)
-    mat = tuple((f[0],) + tuple(conv(i) for i in f[1:]) for f in mat)
-    return tens, mat
+def _shift_dummies(factors, k):
+    return tuple((f[0],) + tuple(i - k if i < 0 else i for i in f[1:])
+                 for f in factors)
+
+
+def relabel_free(tens, mat):
+    """Map the dummies of a canonical monomial to positive labels above its
+    free ones, so that its factors can be split apart and multiplied back
+    together: a label shared by two factors contracts in the product."""
+    top = _top_label(tens + mat)
+
+    def conv(factors):
+        return tuple((f[0],) + tuple(top - i if i < 0 else i for i in f[1:])
+                     for f in factors)
+
+    return conv(tens), conv(mat)
 
 
 def _xdeg_t(tens):
@@ -504,7 +508,10 @@ def _gq(c):
 # ----------------------------------------------------------------------
 # composition of symbols
 
-def compose(P, Q, cutoff, x_jet_order=2, drop=None):
+X_JET_ORDER = 2     # x-order to which every jet is stored
+
+
+def compose(P, Q, cutoff, drop=None):
     """Symbol of the operator product: sum over multi-indices alpha of
     (-i)^|alpha|/alpha! (d_xi^alpha P)(d_x^alpha Q), truncated below
     `cutoff` xi-degree.
@@ -528,6 +535,9 @@ def compose(P, Q, cutoff, x_jet_order=2, drop=None):
     if p_max is None or q_max is None:
         return out
     q_has_x = any(f[0] == 'x' for (_, tens, _m) in Q.terms for f in tens)
+    # the k-th derivative label sits above every label of P and Q
+    base = max((_top_label(tens + mat) for expr in (P, Q)
+                for (_, tens, mat) in expr.terms), default=0)
     k = 0
     Pk = P
     Qk = Q
@@ -536,12 +546,12 @@ def compose(P, Q, cutoff, x_jet_order=2, drop=None):
     while True:
         if p_max - k + q_max < cutoff:
             break
-        if k > x_jet_order:
+        if k > X_JET_ORDER:
             if Pk.is_zero() or not q_has_x:
                 break   # further terms are genuinely absent
             raise JetExhausted(
                 f"composition needs {k} x-derivatives; jets stored to "
-                f"order {x_jet_order}")
+                f"order {X_JET_ORDER}")
         term = (Pk * Qk).scale(pref * GQ(Fraction(1, fact)))
         for key, c in term.terms.items():
             spow, tens, mat = key
@@ -554,9 +564,8 @@ def compose(P, Q, cutoff, x_jet_order=2, drop=None):
         k += 1
         fact *= k
         pref = pref * GQ(0, -1)
-        lab = fresh_label()
-        Pk = Pk.diff_xi(lab)
-        Qk = Qk.diff_x(lab)
+        Pk = Pk.diff_xi(base + k)
+        Qk = Qk.diff_x(base + k)
         if drop is not None:
             Pk = _pruned(Pk, drop)
             Qk = _pruned(Qk, drop)
@@ -580,7 +589,7 @@ def sigma2_pow(dim, k):
     """Jet of (squared covector norm)^k in a Riemann normal chart:
     S^k - (k/6) R(r0,r1,c0,c1) xi xi x x S^(k-1) + O(x^4)."""
     k = Fraction(k)
-    r0, r1, c0, c1 = (fresh_label() for _ in range(4))
+    r0, r1, c0, c1 = -1, -2, -3, -4
     e = SymbolExpr.mono(dim, spow=k)
     e._accum(k - 1,
              (('R', r0, r1, c0, c1), ('xi', r0), ('xi', r1),

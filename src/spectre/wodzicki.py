@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .clifford import gamma_word_trace
 from .rationals import GQ, I, ONE
-from .symbols import (JetExhausted, SymbolExpr, compose, fresh_label,
-                      perm_parity, relabel_fresh, sigma2_pow)
+from .symbols import (JetExhausted, SymbolExpr, _pruned, compose,
+                      perm_parity, relabel_free, sigma2_pow)
 
 # Reserved free index used for the open slot of first-order coefficients.
 FREE_MU = 90
@@ -38,13 +38,11 @@ def _check_p(p):
 def symbol_D2(dim):
     """Symbol of -g^{mn} d_m d_n + a^m d_m + b with first jets of a:
     sigma2(x) + i a^m(x) xi_m + b."""
-    d0 = fresh_label()
     e = sigma2_pow(dim, 1)
-    e = e + SymbolExpr.mono(dim, coeff=I, tens=(('xi', d0),),
-                            mat=(('a', d0),))
-    d1, d2 = fresh_label(), fresh_label()
-    e = e + SymbolExpr.mono(dim, coeff=I, tens=(('xi', d1), ('x', d2)),
-                            mat=(('da', d1, d2),))
+    e = e + SymbolExpr.mono(dim, coeff=I, tens=(('xi', -1),),
+                            mat=(('a', -1),))
+    e = e + SymbolExpr.mono(dim, coeff=I, tens=(('xi', -1), ('x', -2)),
+                            mat=(('da', -1, -2),))
     e = e + SymbolExpr.mono(dim, mat=(('b',),))
     return e
 
@@ -66,12 +64,9 @@ def _curvature_budget(key):
     return deficit > 2
 
 
-def parametrix_D2(dim, depth=2):
+def parametrix_D2(dim):
     """Jets of the order -2, -3, -4 symbols of the inverse of the squared
     Dirac operator, from the geometric-series parametrix."""
-    if depth > 2:
-        raise ValueError("only two orders below the principal part are "
-                         "tracked")
     full = _inverse_square_full(dim)
     return {-2: full.grade(-2), -3: full.grade(-3), -4: full.grade(-4)}
 
@@ -124,9 +119,9 @@ def closed_form_inverse_power(dim, m):
     out = out + (s3.at_base() * s3.at_base() *
                  SymbolExpr.mono(dim, spow=-m + 2)
                  ).scale(GQ(Fraction(m * (m - 1), 2)))
-    lab = fresh_label()
-    xi_dx_s3 = (SymbolExpr.mono(dim, tens=(('xi', lab),)) *
-                s3.diff_x(lab).at_base())
+    # label 1 is free in both factors, so the product contracts it
+    xi_dx_s3 = (SymbolExpr.mono(dim, tens=(('xi', 1),)) *
+                s3.diff_x(1).at_base())
     out = out + (xi_dx_s3 * SymbolExpr.mono(dim, spow=-m)
                  ).scale(I * GQ(m * (m - 1)))
     out = out + _delta_R_xixi(dim, spow=-m - 2).scale(
@@ -137,18 +132,16 @@ def closed_form_inverse_power(dim, m):
 
 
 def _delta_R_xixi(dim, spow):
-    r0, r1, c = fresh_label(), fresh_label(), fresh_label()
     return SymbolExpr.mono(dim, spow=spow,
-                           tens=(('R', r0, r1, c, c),
-                                 ('xi', r0), ('xi', r1)))
+                           tens=(('R', -1, -2, -3, -3),
+                                 ('xi', -1), ('xi', -2)))
 
 
 def _xixi_R_xixi(dim, spow):
-    r0, r1, c0, c1 = (fresh_label() for _ in range(4))
     return SymbolExpr.mono(dim, spow=spow,
-                           tens=(('R', r0, r1, c0, c1),
-                                 ('xi', r0), ('xi', r1),
-                                 ('xi', c0), ('xi', c1)))
+                           tens=(('R', -1, -2, -3, -4),
+                                 ('xi', -1), ('xi', -2),
+                                 ('xi', -3), ('xi', -4)))
 
 
 # ----------------------------------------------------------------------
@@ -163,21 +156,13 @@ def abs_symbol(dim):
 
     c11 = compose(s1, s1, cutoff=0, drop=_curvature_budget)
     rem1 = sD2.grade(1) - c11.grade(1)
-    s0 = _prune_expr(inv_half * rem1).scale(GQ(Fraction(1, 2)))
+    s0 = _pruned(inv_half * rem1, _curvature_budget).scale(GQ(Fraction(1, 2)))
 
     known = s1 + s0
     c_known = compose(known, known, cutoff=0, drop=_curvature_budget)
     rem0 = sD2.grade(0) - c_known.grade(0)
     sm1 = (inv_half * rem0).scale(GQ(Fraction(1, 2))).at_base()
     return s1, s0, sm1
-
-
-def _prune_expr(expr):
-    out = SymbolExpr(expr.dim)
-    for key, c in expr.terms.items():
-        if not _curvature_budget(key):
-            out.terms[key] = c
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -392,10 +377,10 @@ def square_dirac(dim, torsion=True):
     if torsion:
         a = a + SymbolExpr.mono(dim, coeff=GQ(-6), mat=(('T', FREE_MU),))
 
-    # b: start from -nabla^m nabla_m + R/4
-    d = fresh_label()
+    # b: start from -nabla^m nabla_m + R/4; the dummies d, m, n are summed
+    # within each monomial
+    d, m, n = -1, -2, -3
     b = SymbolExpr.mono(dim, coeff=GQ(-1), mat=(('dom', d, d),))
-    d = fresh_label()
     b = b + SymbolExpr.mono(dim, coeff=GQ(-1), mat=(('om', d), ('om', d)))
     b = b + SymbolExpr.mono(dim, coeff=GQ(Fraction(1, 4)), tens=(('Rs',),))
 
@@ -410,46 +395,23 @@ def square_dirac(dim, torsion=True):
         def mono(coeff, *mats):
             return SymbolExpr.mono(dim, coeff=coeff, mat=tuple(mats))
 
-        d = fresh_label()
         b = b + mono(GQ(-1), ('dT', d, d))
-        d = fresh_label()
         b = b + mono(GQ(-1), ('om', d), ('T', d)) + mono(ONE, ('T', d),
                                                          ('om', d))
-        m, n = fresh_label(), fresh_label()
         b = b + mono(ONE, ('g2', m, n), ('dT', n, m))
-        m, n = fresh_label(), fresh_label()
         b = b + mono(ONE, ('g2', m, n), ('om', m), ('T', n))
-        m, n = fresh_label(), fresh_label()
         b = b + mono(GQ(-1), ('g2', m, n), ('T', n), ('om', m))
         # T(n) om(m) from gamma nabla (gamma T); T(m) om(n) - 4 T om from
         # gamma T gamma nabla
-        d = fresh_label()
         b = b + mono(GQ(-1), ('T', d), ('om', d))
-        m, n = fresh_label(), fresh_label()
         b = b + mono(ONE, ('g2', m, n), ('T', n), ('om', m))
-        d = fresh_label()
         b = b + mono(GQ(-1), ('T', d), ('om', d))
-        m, n = fresh_label(), fresh_label()
         b = b + mono(ONE, ('g2', m, n), ('T', m), ('om', n))
-        d = fresh_label()
         b = b + mono(GQ(-4), ('T', d), ('om', d))
         # T T terms
-        d = fresh_label()
         b = b + mono(GQ(-5), ('T', d), ('T', d))
-        m, n = fresh_label(), fresh_label()
         b = b + mono(ONE, ('g2', m, n), ('T', m), ('T', n))
     return a, b
-
-
-def _substitute_free(expr, old, new):
-    out = SymbolExpr(expr.dim)
-    for (spow, tens, mat), c in expr.terms.items():
-        tens = tuple((f[0],) + tuple(new if i == old else i for i in f[1:])
-                     for f in tens)
-        mat = tuple((f[0],) + tuple(new if i == old else i for i in f[1:])
-                    for f in mat)
-        out._accum(spow, tens, mat, c)
-    return out
 
 
 def _divergence_of_a(a_expr):
@@ -461,10 +423,8 @@ def _divergence_of_a(a_expr):
             raise ValueError("first-order coefficient must be a sum of "
                              "single connection/torsion factors")
         kind, idx = mat[0][0], mat[0][1]
-        d = fresh_label()
-        newmat = ((deriv_kind[kind], d, d),)
         assert idx == FREE_MU
-        out._accum(spow, tens, newmat, c)
+        out._accum(spow, tens, ((deriv_kind[kind], -1, -1),), c)
     return out
 
 
@@ -472,12 +432,9 @@ def group_residual(dim, torsion=True):
     """b + (1/4) a.a - (1/2) div a, the combination whose spinor trace
     carries the curvature and torsion content."""
     a, b = square_dirac(dim, torsion)
-    d = fresh_label()
-    a_low = _substitute_free(a, FREE_MU, d)
-    a_dot_a = a_low * a_low
-    res = b + a_dot_a.scale(GQ(Fraction(1, 4))) \
+    # both factors carry the free label FREE_MU, so the product contracts it
+    return b + (a * a).scale(GQ(Fraction(1, 4))) \
         - _divergence_of_a(a).scale(GQ(Fraction(1, 2)))
-    return res
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +460,7 @@ def spinor_trace(expr, p):
     # expand matrix factors into gamma bilinears
     total = SymbolExpr.zero(p)
     for (spow, tens, mat), c in expr.terms.items():
-        tens, mat = relabel_fresh(tens, mat)
+        tens, mat = relabel_free(tens, mat)
         pieces = [SymbolExpr.mono(p, coeff=c, spow=spow, tens=tens)]
         for f in mat:
             kind = f[0]
@@ -516,10 +473,11 @@ def spinor_trace(expr, p):
                     SymbolExpr.mono(p, tens=(('dl', m, n),))
             elif kind in _EXPAND_GAMMA:
                 tname, pref, arity = _EXPAND_GAMMA[kind]
-                aa, bb = fresh_label(), fresh_label()
-                tfac = (tname,) + f[1:2] + (aa, bb) + f[2:]
+                # the gamma pair is summed inside rep; the product below
+                # keeps it apart from the dummies of the other factors
+                tfac = (tname,) + f[1:2] + (-1, -2) + f[2:]
                 rep = SymbolExpr.mono(p, coeff=GQ(pref), tens=(tfac,),
-                                      mat=(('g', aa), ('g', bb)))
+                                      mat=(('g', -1), ('g', -2)))
             elif kind == 'b':
                 raise ValueError("expand b before tracing")
             else:
@@ -532,7 +490,7 @@ def spinor_trace(expr, p):
     # trace pure gamma words
     out = SymbolExpr.zero(p)
     for (spow, tens, mat), c in total.terms.items():
-        tens, mat = relabel_fresh(tens, mat)
+        tens, mat = relabel_free(tens, mat)
         labels = []
         for f in mat:
             assert f[0] == 'g'

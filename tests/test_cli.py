@@ -7,9 +7,11 @@ import pathlib
 import jsonschema
 import pytest
 
+from spectre import clifford, dixmier, model_triples, wodzicki
 from spectre.cli import main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, argv):
@@ -99,10 +101,10 @@ def test_distance_disconnected_exit_code(capsys, tmp_path):
 
 def test_distance_bad_header(capsys, tmp_path):
     f = tmp_path / "graph.csv"
-    f.write_text("a,b,c\nA,B,1.0\n", encoding="utf-8")
-    rc, _ = run(capsys, ["distance", "--graph", str(f),
-                         "--from", "A", "--to", "B"])
-    assert rc == 2
+    for text in ("a,b,c\nA,B,1.0\n", ""):
+        f.write_text(text, encoding="utf-8")
+        assert_usage_error(capsys, ["distance", "--graph", str(f),
+                                    "--from", "A", "--to", "B"])
 
 
 def test_wres_even_output(capsys):
@@ -181,12 +183,34 @@ def test_dixmier_bad_csv_row_usage_error(capsys, tmp_path, row):
                                 "--schedule", "10,100,1000"])
 
 
+def _no_computation(*args, **kwargs):
+    raise AssertionError("a usage error must be caught before computing")
+
+
 @pytest.mark.parametrize("argv", [
     ["dixmier", "--seq", "harmonic", "--schedule", "1,10,100"],
     ["volume", "--model", "circle", "--schedule", "1,10,100"],
     ["dixmier", "--seq", "harmonic", "--schedule", "10,1e2,1000"],
+    ["dixmier", "--seq", "harmonic", "--schedule", "100,10,1000"],
+    ["dixmier", "--seq", "harmonic", "--schedule", "10,100,100"],
+    ["dixmier", "--seq", "harmonic", "--schedule", "10,100"],
+    ["volume", "--model", "torus", "--schedule", "1000,10000"],
+    ["wres", "--p", "13"],
+    ["wres", "--p", "1"],
+    ["wres", "--p", "3", "--parity", "even"],
+    ["wres", "--p", "2", "--parity", "odd"],
+    ["volume", "--model", "torus", "--p", "5"],
+    ["volume", "--model", "torus", "--p", "0"],
+    ["volume", "--model", "circle", "--p", "5"],
+    ["--format", "csv", "wres", "--p", "3"],
+    ["--format", "csv", "clifford-table"],
 ])
-def test_schedule_usage_error(capsys, argv):
+def test_schedule_usage_error(capsys, monkeypatch, argv):
+    for module, name in ((wodzicki, "integrand"),
+                         (model_triples, "volume_check"),
+                         (dixmier, "dixmier_estimate"),
+                         (clifford, "find_real_structure")):
+        monkeypatch.setattr(module, name, _no_computation)
     assert_usage_error(capsys, argv)
 
 
@@ -213,3 +237,10 @@ def test_wres_p2_has_no_action_terms(capsys):
     validate(payload, "wres")
     assert payload["coeff_R"]["rational_of_c_p"] == "0"
     assert payload["coeff_t2"]["rational_of_c_p"] == "0"
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_wres_matches_golden_output(capsys, p):
+    rc, out = run(capsys, ["wres", "--p", str(p)])
+    assert rc == 0
+    assert out.encode("utf-8") == (GOLDEN / f"wres_p{p}.json").read_bytes()

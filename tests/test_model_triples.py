@@ -68,6 +68,25 @@ def test_torus_count_oracle():
     assert enumerated == inside
 
 
+def test_torus_irrational_radius_matches_lattice_enumeration():
+    """Runs group exactly equal squared magnitudes, so eigenvalues of a
+    torus with an irrational radius ratio stay distinct."""
+    radii, count = (1.0, 1.37), 10**5
+    seq = mt.torus_singular_values(mt.TorusSpec(p=2, radii=radii),
+                                   max_terms=count)
+    values, counts = seq.runs(count)
+    got = np.repeat(values, counts)[:count]
+    # every lattice point with |lambda| <= reach lies in the box
+    reach = 130.0
+    a, b = (np.arange(-math.ceil(reach * r), math.ceil(reach * r) + 1) / r
+            for r in radii)
+    lam2 = np.add.outer(a * a, b * b).ravel()
+    lam2 = np.sort(lam2[(lam2 > 0) & (lam2 <= reach * reach)])
+    assert len(lam2) >= count // 2
+    direct = np.repeat(1.0 / np.sqrt(lam2[:count // 2]), 2)
+    np.testing.assert_allclose(got, direct, rtol=1e-12)
+
+
 def test_torus_volume_estimate():
     est, expected = mt.volume_check(
         "torus", p=2, schedule=[10**4, 10**5, 10**6, 10**7])

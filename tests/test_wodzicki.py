@@ -9,6 +9,7 @@ import pytest
 
 from spectre.rationals import GQ, I, ONE
 from spectre.symbols import SymbolExpr, compose, fresh_label, sigma2_pow
+from spectre import symbols
 from spectre import wodzicki as w
 
 
@@ -396,3 +397,31 @@ def test_quadratic_form_coeff():
 def test_dimension_guard():
     with pytest.raises(ValueError):
         w.integrand(13)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_repeated_gravity_action_adds_no_cache_misses(p):
+    """Canonical dummies make the canonicalization keys of a repeated
+    computation the same as the first time."""
+    first = w.gravity_action(p)
+    misses = symbols._canon_cached.cache_info().misses
+    assert w.gravity_action(p) == first
+    assert symbols._canon_cached.cache_info().misses == misses
+
+
+class _NoLabels:
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("the engine drew a global fresh label")
+
+
+def test_engine_draws_no_global_labels(monkeypatch):
+    def run():
+        return (w.gravity_action(4), w.gravity_action(5),
+                w.spinor_trace(w.group_residual(4), 4))
+
+    expected = run()
+    monkeypatch.setattr(symbols, "_fresh_counter", _NoLabels())
+    assert run() == expected
