@@ -6,9 +6,16 @@ import numpy as np
 IMPL = "python"
 
 
-def partial_sums_at(values, counts, checkpoints):
+def partial_sums_at(values, counts, checkpoints, carry=(0, 0.0)):
     """Sum of the first N terms of the sequence given by (value, count)
     runs, for each N in checkpoints (1-based term counts).
+
+    `carry` is (terms, sum) of everything before these runs, so a long
+    sequence can be summed one chunk at a time; checkpoints then count
+    from the start of the sequence and must not precede the chunk.  The
+    running sum prepends the carried sum, which makes it the same
+    left-to-right sequence of additions as one cumsum over the whole
+    sequence: chunked partial sums are bit-identical to unchunked ones.
 
     A checkpoint landing inside a run takes the pro-rata number of copies;
     checkpoints beyond the enumerated terms raise.
@@ -16,19 +23,12 @@ def partial_sums_at(values, counts, checkpoints):
     values = np.asarray(values, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     ns = np.asarray(checkpoints, dtype=np.int64)
-    if len(values) == 0:
-        if ns.size:
-            raise ValueError("checkpoint beyond enumerated terms")
-        return np.zeros(0)
-    cum_counts = np.cumsum(counts)
-    if ns.size and ns.max() > cum_counts[-1]:
+    carry_terms, carry_sum = carry
+    # entry i is the state before run i; the last entry is after all runs
+    cum_counts = np.cumsum(np.concatenate(([carry_terms], counts)))
+    cum_sums = np.cumsum(np.concatenate(([carry_sum], values * counts)))
+    if ns.size and (len(values) == 0 or ns.max() > cum_counts[-1]):
         raise ValueError("checkpoint beyond enumerated terms")
-    cum_sums = np.cumsum(values * counts)
-    idx = np.searchsorted(cum_counts, ns, side='left')
-    out = np.empty(len(ns), dtype=np.float64)
-    for k in range(len(ns)):
-        n, i = ns[k], idx[k]
-        prev_cnt = cum_counts[i - 1] if i > 0 else 0
-        prev_sum = cum_sums[i - 1] if i > 0 else 0.0
-        out[k] = prev_sum + (n - prev_cnt) * values[i]
-    return out
+    # the run holding term N
+    idx = np.maximum(np.searchsorted(cum_counts, ns, side='left') - 1, 0)
+    return cum_sums[idx] + (ns - cum_counts[idx]) * values[idx]

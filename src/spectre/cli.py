@@ -40,6 +40,13 @@ def _schedule(text):
     return schedule
 
 
+def _open_input(path, option):
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{option} {path}: {exc.strerror or exc}") from None
+
+
 def _emit(payload, fmt="json"):
     if fmt == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(
@@ -107,7 +114,7 @@ def cmd_dixmier(args):
     schedule = _schedule(args.schedule)
     if args.csv:
         runs = []
-        with open(args.csv, newline="", encoding="utf-8") as fh:
+        with _open_input(args.csv, "--csv") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if not row or row[0].startswith("#"):
@@ -176,7 +183,7 @@ def cmd_distance(args):
     from . import model_triples as mt
     verts = set()
     edges = []
-    with open(args.graph, newline="", encoding="utf-8") as fh:
+    with _open_input(args.graph, "--graph") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if [h.strip() for h in header] != ["u", "v", "length"]:

@@ -1,9 +1,11 @@
 """Singular-value ideal norms and logarithmic trace estimation.
 
 Sequences are non-increasing positive reals encoded as (value, count)
-runs; constructors provide vectorized run arrays so partial sums up to
-N ~ 1e7 stay cheap.  The trace estimate extrapolates the slowly varying
-partial ratio in 1/log N, which the harmonic prototype makes exact.
+runs and read as a stream of chunks of at most CHUNK_RUNS runs, so
+partial sums, norms and trace estimates hold one chunk in memory at a
+time however many terms they sum.  The trace estimate extrapolates the
+slowly varying partial ratio in 1/log N, which the harmonic prototype
+makes exact.
 """
 
 from __future__ import annotations
@@ -15,105 +17,157 @@ import numpy as np
 
 from ._kernels import partial_sums_at
 
+# runs per chunk of the built-in generators: 2^20 runs are 16 MB of
+# values and counts
+CHUNK_RUNS = 2**20
+
+
+def index_chunks(start, stop):
+    """The indices start..stop-1 as float64 arrays of at most CHUNK_RUNS
+    entries, from which a chunk generator computes its runs."""
+    step = CHUNK_RUNS
+    for lo in range(start, stop, step):
+        yield np.arange(lo, min(lo + step, stop), dtype=np.float64)
+
 
 class SingularValueSeq:
     """Lazily enumerated non-increasing positive sequence with
-    multiplicity runs.
+    multiplicity runs, read as a stream of (values, counts) chunks.
 
-    `runs_fn(max_terms)` must return (values, counts) arrays covering at
-    least max_terms terms.  `kernel_dim` records omitted kernel modes
-    (the inverse is taken to vanish on the kernel)."""
+    `chunks_fn(max_terms)` yields chunks that together cover at least
+    max_terms terms.  A hand-built `runs_fn(max_terms)` returning one
+    (values, counts) pair is read as a single chunk.  `kernel_dim` records
+    omitted kernel modes (the inverse is taken to vanish on the kernel)."""
 
-    def __init__(self, runs_fn, name="seq", kernel_dim=0):
-        self._runs_fn = runs_fn
+    def __init__(self, runs_fn=None, name="seq", kernel_dim=0, *,
+                 chunks_fn=None):
+        if (runs_fn is None) == (chunks_fn is None):
+            raise TypeError("give exactly one of runs_fn and chunks_fn")
+        self._chunks_fn = chunks_fn or _one_chunk(runs_fn)
         self.name = name
         self.kernel_dim = kernel_dim
 
+    def chunks(self, max_terms):
+        """The non-empty chunks covering at least max_terms terms, checked
+        within each chunk and across each chunk boundary."""
+        last = math.inf
+        for values, counts in self._chunks_fn(max_terms):
+            if len(values) == 0:
+                continue
+            if values[0] > last or np.any(np.diff(values) > 0):
+                raise ValueError(f"{self.name}: values must be "
+                                 "non-increasing")
+            if np.any(values <= 0) or np.any(counts < 1):
+                raise ValueError(f"{self.name}: needs positive values and "
+                                 "counts >= 1")
+            last = values[-1]
+            yield values, counts
+
     def runs(self, max_terms):
-        values, counts = self._runs_fn(max_terms)
-        values = np.asarray(values, dtype=np.float64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if len(values) and np.any(np.diff(values) > 0):
-            raise ValueError(f"{self.name}: values must be non-increasing")
-        if np.any(values <= 0) or np.any(counts < 1):
-            raise ValueError(f"{self.name}: needs positive values and "
-                             "counts >= 1")
-        return values, counts
+        """Every run covering at least max_terms terms as one (values,
+        counts) pair."""
+        values, counts = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+        for v, c in self.chunks(max_terms):
+            values.append(v)
+            counts.append(c)
+        return np.concatenate(values), np.concatenate(counts)
+
+    def mapped(self, fn, name):
+        """The sequence whose values are fn(values), chunk by chunk; fn
+        must keep them non-increasing and positive."""
+        source = self._chunks_fn
+
+        def chunks_fn(n):
+            for values, counts in source(n):
+                yield fn(values), counts
+        return SingularValueSeq(name=name, kernel_dim=self.kernel_dim,
+                                chunks_fn=chunks_fn)
 
     def scaled(self, lam):
-        fn = self._runs_fn
-
-        def scaled_fn(n):
-            v, c = fn(n)
-            return np.asarray(v, dtype=np.float64) * lam, c
-        return SingularValueSeq(scaled_fn, name=f"{lam}*{self.name}",
-                                kernel_dim=self.kernel_dim)
+        return self.mapped(lambda v: v * lam, f"{lam}*{self.name}")
 
     def with_prefix(self, prefix_values):
         """Replace the first len(prefix_values) terms (finite-rank edit);
-        prefix must keep the sequence admissible."""
-        fn = self._runs_fn
-        pv = np.asarray(sorted(prefix_values, reverse=True), dtype=float)
+        prefix must keep the sequence admissible.  Each prefix value is
+        held back until the chunk where it belongs, and comes first among
+        equal values."""
+        source = self._chunks_fn
+        prefix = np.asarray(sorted(prefix_values, reverse=True), dtype=float)
 
-        def edited(n):
-            v, c = fn(n + len(pv))
-            values, counts = _drop_terms(v, c, len(pv))
-            allv = np.concatenate([pv, values])
-            allc = np.concatenate([np.ones(len(pv), dtype=np.int64), counts])
-            order = np.argsort(-allv, kind='stable')
-            return allv[order], allc[order]
-        return SingularValueSeq(edited, name=f"{self.name}+prefix")
+        def chunks_fn(n):
+            pending, drop = prefix, len(prefix)
+            for values, counts in source(n + len(prefix)):
+                values, counts, drop = _drop_terms(values, counts, drop)
+                # values of this chunk strictly above each pending value
+                pos = np.searchsorted(-values, -pending, side='left')
+                k = int(np.count_nonzero(pos < len(values)))
+                yield (np.insert(values, pos[:k], pending[:k]),
+                       np.insert(counts, pos[:k], 1))
+                pending = pending[k:]
+            if len(pending):
+                yield pending, np.ones(len(pending), dtype=np.int64)
+        return SingularValueSeq(name=f"{self.name}+prefix",
+                                kernel_dim=self.kernel_dim,
+                                chunks_fn=chunks_fn)
+
+
+def _one_chunk(runs_fn):
+    def chunks_fn(n):
+        values, counts = runs_fn(n)
+        yield (np.asarray(values, dtype=np.float64),
+               np.asarray(counts, dtype=np.int64))
+    return chunks_fn
 
 
 def _drop_terms(values, counts, k):
-    """Remove the first k terms of a run sequence."""
-    counts = counts.copy()
-    i = 0
-    while k > 0 and i < len(counts):
-        take = min(k, counts[i])
-        counts[i] -= take
-        k -= take
-        if counts[i] == 0:
-            i += 1
-    return values[i:] if i else values, counts[i:] if i else counts
+    """Remove the first k terms of a chunk; also returns how many terms
+    later chunks must still drop."""
+    if k == 0:
+        return values, counts, 0
+    total = int(counts.sum())
+    if k >= total:
+        return values[:0], counts[:0], k - total
+    ends = np.cumsum(counts)
+    i = int(np.searchsorted(ends, k, side='right'))  # runs dropped whole
+    counts = counts[i:].copy()
+    counts[0] = ends[i] - k
+    return values[i:], counts, 0
 
 
 # ----------------------------------------------------------------------
-# built-in sequences
+# built-in sequences: one chunk generator each
 
 def harmonic(shift=1.0):
-    def fn(n):
-        ks = np.arange(n, dtype=np.float64)
-        return 1.0 / (ks + shift), np.ones(n, dtype=np.int64)
-    return SingularValueSeq(fn, name="harmonic")
+    def chunks(n):
+        for ks in index_chunks(0, n):
+            yield 1.0 / (ks + shift), np.ones(len(ks), dtype=np.int64)
+    return SingularValueSeq(name="harmonic", chunks_fn=chunks)
 
 
 def harmonic_doubled():
-    def fn(n):
-        nruns = n // 2 + 1
-        ks = np.arange(1, nruns + 1, dtype=np.float64)
-        return 1.0 / ks, np.full(nruns, 2, dtype=np.int64)
-    return SingularValueSeq(fn, name="harmonic-doubled")
+    def chunks(n):
+        for ks in index_chunks(1, n // 2 + 2):
+            yield 1.0 / ks, np.full(len(ks), 2, dtype=np.int64)
+    return SingularValueSeq(name="harmonic-doubled", chunks_fn=chunks)
 
 
 def geometric(ratio=0.5):
-    def fn(n):
+    def chunks(n):
         m = min(n, 900)  # deeper terms would underflow
-        ks = np.arange(m, dtype=np.float64)
-        v = ratio ** ks
-        c = np.ones(m, dtype=np.int64)
+        for ks in index_chunks(0, m):
+            v = ratio ** ks
+            yield v, np.ones(len(ks), dtype=np.int64)
         if m < n:  # constant subnormal-free tail so checkpoints resolve
-            v = np.append(v, v[-1])
-            c = np.append(c, n - m)
-        return v, c
-    return SingularValueSeq(fn, name="geometric")
+            yield v[-1:], np.array([n - m], dtype=np.int64)
+    return SingularValueSeq(name="geometric", chunks_fn=chunks)
 
 
 def telescoping_log():
-    def fn(n):
-        ks = np.arange(n, dtype=np.float64)
-        return np.log((ks + 2.0) / (ks + 1.0)), np.ones(n, dtype=np.int64)
-    return SingularValueSeq(fn, name="telescoping-log")
+    def chunks(n):
+        for ks in index_chunks(0, n):
+            yield (np.log((ks + 2.0) / (ks + 1.0)),
+                   np.ones(len(ks), dtype=np.int64))
+    return SingularValueSeq(name="telescoping-log", chunks_fn=chunks)
 
 
 def block_oscillator():
@@ -122,21 +176,18 @@ def block_oscillator():
     slope-3 blocks carry 3/(n + 2 B_entry), which matches the incoming
     value at each entry so the sequence stays non-increasing while the
     partial ratio oscillates without settling."""
-    def fn(n):
+    def chunks(n):
         bounds = [8]
         while bounds[-1] < n:
             bounds.append(int(math.ceil(bounds[-1] ** 2)))
-        ks = np.arange(1, n + 1, dtype=np.float64)
-        vals = 1.0 / ks
-        lvl = np.zeros(len(ks), dtype=np.int64)
-        for i, b in enumerate(bounds):
-            lvl[ks >= b] = i + 1
-        for i, b in enumerate(bounds):
-            if (i + 1) % 2 == 1:
-                sel = lvl == i + 1
-                vals[sel] = 3.0 / (ks[sel] + 2.0 * b)
-        return vals, np.ones(n, dtype=np.int64)
-    return SingularValueSeq(fn, name="block-oscillator")
+        bounds = np.array(bounds, dtype=np.float64)
+        for ks in index_chunks(1, n + 1):
+            level = np.searchsorted(bounds, ks, side='right')
+            entry = bounds[level - 1]  # at level 0 unused (even level)
+            yield (np.where(level % 2 == 1, 3.0 / (ks + 2.0 * entry),
+                            1.0 / ks),
+                   np.ones(len(ks), dtype=np.int64))
+    return SingularValueSeq(name="block-oscillator", chunks_fn=chunks)
 
 
 BUILTINS = {
@@ -153,14 +204,28 @@ BUILTINS = {
 
 def partial_sum(seq, n):
     """Sum of mu_0..mu_N inclusive (N+1 terms, the displayed convention)."""
-    v, c = seq.runs(n + 1)
-    return float(partial_sums_at(v, c, np.array([n + 1]))[0])
+    return float(partial_sums(seq, [n])[0])
 
 
 def partial_sums(seq, ns):
+    """partial_sum for each N in ns (any order), summed one chunk at a
+    time."""
     ns = np.asarray(ns, dtype=np.int64)
-    v, c = seq.runs(int(ns.max()) + 1)
-    return partial_sums_at(v, c, ns + 1)
+    order = np.argsort(ns, kind='stable')
+    wanted = ns[order] + 1          # ascending 1-based term counts
+    out = np.empty(len(ns))
+    done, carry = 0, (0, 0.0)
+    for values, counts in seq.chunks(int(ns.max()) + 1):
+        end = carry[0] + int(counts.sum())
+        upto = int(np.searchsorted(wanted, end, side='right'))
+        # the chunk's end is one more checkpoint: its sum is the next carry
+        sums = partial_sums_at(values, counts,
+                               np.append(wanted[done:upto], end), carry)
+        out[order[done:upto]] = sums[:-1]
+        done, carry = upto, (end, sums[-1])
+    if done < len(wanted):
+        raise ValueError("checkpoint beyond enumerated terms")
+    return out
 
 
 def partial_ratio(seq, n):
@@ -184,11 +249,18 @@ def pinfty_norm(seq, p, n):
 
 def p1_norm(seq, p, n):
     """Partial sum of the (p,1) functional: sum n^(1/p - 1) mu_n; the
-    n = 0 term is excluded (its weight is singular as written)."""
-    v, c = seq.runs(n + 1)
-    terms = np.repeat(v, c)[: n + 1]
-    ks = np.arange(1, len(terms), dtype=np.float64)
-    return float(np.sum(ks ** (1.0 / p - 1.0) * terms[1:]))
+    n = 0 term is excluded (its weight is singular as written).  Terms
+    are written out at most CHUNK_RUNS at a time."""
+    total, first = 0.0, 0           # first: index of the chunk's first term
+    for values, counts in seq.chunks(n + 1):
+        ends = first + np.cumsum(counts)
+        stop = min(int(ends[-1]), n + 1)
+        for lo in range(max(first, 1), stop, CHUNK_RUNS):
+            ks = np.arange(lo, min(lo + CHUNK_RUNS, stop))
+            mu = values[np.searchsorted(ends, ks, side='right')]
+            total += np.sum(ks ** (1.0 / p - 1.0) * mu)
+        first = int(ends[-1])
+    return float(total)
 
 
 @dataclass

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dixmier import SingularValueSeq, dixmier_estimate, default_schedule
+from .dixmier import (SingularValueSeq, default_schedule, dixmier_estimate,
+                      index_chunks)
 
 
 # ----------------------------------------------------------------------
@@ -58,14 +59,13 @@ def circle_singular_values(spec):
     off = spec.spin_offset
     rad = spec.radius
 
-    def fn(max_terms):
-        nruns = max_terms // 2 + 1
-        ns = np.arange(nruns, dtype=np.float64)
-        mags = np.abs(ns + 1.0) if off == 0.0 else ns + 0.5
-        return rad / mags, np.full(nruns, 2, dtype=np.int64)
+    def chunks(max_terms):
+        for ns in index_chunks(0, max_terms // 2 + 1):
+            yield (rad / (ns + (1.0 if off == 0.0 else 0.5)),
+                   np.full(len(ns), 2, dtype=np.int64))
     kernel = 1 if off == 0.0 else 0
-    return SingularValueSeq(fn, name=f"circle(offset={off})",
-                            kernel_dim=kernel)
+    return SingularValueSeq(name=f"circle(offset={off})", kernel_dim=kernel,
+                            chunks_fn=chunks)
 
 
 MAX_TORUS_P = 4
@@ -123,12 +123,8 @@ def torus_singular_values(spec, max_terms=2 * 10**7):
 
 def torus_power_sequence(spec, power, max_terms=2 * 10**7):
     """Singular values of the inverse operator raised to `power`."""
-    base = torus_singular_values(spec, max_terms)
-
-    def fn(n):
-        v, c = base.runs(n)
-        return v ** power, c
-    return SingularValueSeq(fn, name=f"torus(p={spec.p})^{power}")
+    return torus_singular_values(spec, max_terms).mapped(
+        lambda v: v ** power, f"torus(p={spec.p})^{power}")
 
 
 def lattice_count_inside(spec, radius):

@@ -204,12 +204,16 @@ def _no_computation(*args, **kwargs):
     ["volume", "--model", "circle", "--p", "5"],
     ["--format", "csv", "wres", "--p", "3"],
     ["--format", "csv", "clifford-table"],
+    ["dixmier", "--csv", "no-such-dir/runs.csv", "--schedule", "10,100,1000"],
+    ["dixmier", "--csv", ".", "--schedule", "10,100,1000"],
+    ["distance", "--graph", "no-such-dir/g.csv", "--from", "A", "--to", "B"],
 ])
 def test_schedule_usage_error(capsys, monkeypatch, argv):
     for module, name in ((wodzicki, "integrand"),
                          (model_triples, "volume_check"),
                          (dixmier, "dixmier_estimate"),
-                         (clifford, "find_real_structure")):
+                         (clifford, "find_real_structure"),
+                         (model_triples, "connes_distance")):
         monkeypatch.setattr(module, name, _no_computation)
     assert_usage_error(capsys, argv)
 

@@ -6,12 +6,15 @@ they check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import digamma
 
 from spectre import dixmier as dx
+from spectre import model_triples as mt
 from spectre._kernels import partial_sums_at
 
 
@@ -33,6 +36,42 @@ def test_kernel_implementations_agree():
     # whole-array reference: every term written out, then summed
     b = np.cumsum(np.repeat(values, counts))[ns - 1]
     assert np.allclose(a, b, rtol=0, atol=1e-9)
+
+
+def _loop_partial_sums_at(values, counts, ns):
+    """The kernel's former checkpoint loop, kept as a bit-exact reference."""
+    cum_counts = np.cumsum(counts)
+    cum_sums = np.cumsum(values * counts)
+    idx = np.searchsorted(cum_counts, ns, side='left')
+    out = np.empty(len(ns), dtype=np.float64)
+    for k in range(len(ns)):
+        n, i = ns[k], idx[k]
+        prev_cnt = cum_counts[i - 1] if i > 0 else 0
+        prev_sum = cum_sums[i - 1] if i > 0 else 0.0
+        out[k] = prev_sum + (n - prev_cnt) * values[i]
+    return out
+
+
+def test_kernel_matches_loop_reference_across_carries():
+    rng = np.random.default_rng(1)
+    values = np.sort(rng.uniform(0.1, 5.0, size=300))[::-1].copy()
+    counts = rng.integers(1, 7, size=300)
+    ends = np.cumsum(counts)
+    ns = np.arange(1, ends[-1] + 1)
+    expect = [x.hex() for x in _loop_partial_sums_at(values, counts, ns)]
+    assert [float(x).hex() for x in
+            partial_sums_at(values, counts, ns)] == expect
+    # the same runs in four chunks, each carrying the terms and the sum
+    # of the chunks before it
+    got, carry = [], (0, 0.0)
+    for lo, hi in ((0, 1), (1, 77), (77, 78), (78, 300)):
+        end = int(ends[hi - 1])
+        part = ns[(ns > carry[0]) & (ns <= end)]
+        sums = partial_sums_at(values[lo:hi], counts[lo:hi],
+                               np.append(part, end), carry)
+        got += [float(x).hex() for x in sums[:-1]]
+        carry = (end, sums[-1])
+    assert got == expect
 
 
 def test_kernel_checkpoint_guard():
@@ -181,3 +220,105 @@ def test_sequence_validation():
         lambda n: (np.array([1.0, 2.0]), np.array([1, 1])), name="bad")
     with pytest.raises(ValueError):
         bad.runs(2)
+
+
+def _hex(xs):
+    return [float(x).hex() for x in xs]
+
+
+# 21 terms: the first chunk of 7 doubled runs is dropped whole; 1/20 and
+# 1/40 tie with runs of two equal terms, 1/450 lands mid-chunk
+PREFIX = [2.0] + [0.3] * 17 + [1 / 20, 1 / 40, 1 / 450]
+
+
+def _chunked_sequences():
+    torus = mt.torus_power_sequence(mt.TorusSpec(), 2.0, max_terms=2000)
+    hand = dx.SingularValueSeq(
+        lambda n: (1.0 / np.arange(1, n + 1), np.ones(n, dtype=np.int64)),
+        name="hand-built")
+    return {
+        **{name: mk() for name, mk in dx.BUILTINS.items()},
+        "circle": mt.circle_singular_values(mt.CircleSpec()),
+        "circle-spin": mt.circle_singular_values(mt.CircleSpec(0.5)),
+        "torus-p2": torus,
+        "scaled": dx.block_oscillator().scaled(2.5),
+        "prefix": dx.harmonic_doubled().with_prefix(PREFIX),
+        "hand-built": hand,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_chunked_sequences()))
+def test_chunk_boundaries_keep_partial_sums_bit_identical(monkeypatch,
+                                                           name):
+    """Streamed partial sums equal the kernel over all runs at once, with
+    checkpoints on both sides of chunk boundaries (runs of one and two
+    terms)."""
+    monkeypatch.setattr(dx, "CHUNK_RUNS", 7)
+    seq = _chunked_sequences()[name]
+    terms = sorted({b + d for b in range(7, 1000, 7) for d in (-1, 0, 1)})
+    ns = np.array(terms) - 1
+    streamed = dx.partial_sums(seq, ns)
+    values, counts = seq.runs(int(ns.max()) + 1)
+    assert _hex(streamed) == _hex(partial_sums_at(values, counts, ns + 1))
+
+
+def test_chunked_runs_match_one_chunk_runs(monkeypatch):
+    """Chunked generators produce the same runs as a single chunk, and a
+    prefix comes first among equal values wherever the chunks split."""
+    whole = {name: seq.runs(1000)
+             for name, seq in _chunked_sequences().items()}
+    monkeypatch.setattr(dx, "CHUNK_RUNS", 7)
+    seqs = _chunked_sequences()
+    for name, seq in seqs.items():
+        values, counts = seq.runs(1000)
+        assert _hex(values) == _hex(whole[name][0]), name
+        assert counts.tolist() == whole[name][1].tolist(), name
+    for name in (*dx.BUILTINS, "circle", "circle-spin", "scaled"):
+        assert max(len(v) for v, _ in seqs[name].chunks(1000)) <= 7, name
+    # reference: drop 21 terms (10 runs and one term), stable merge
+    hv, hc = dx.harmonic_doubled().runs(1000 + len(PREFIX))
+    hc = hc.copy()
+    hc[10] -= 1
+    allv = np.concatenate([PREFIX, hv[10:]])
+    allc = np.concatenate([np.ones(len(PREFIX), dtype=np.int64), hc[10:]])
+    order = np.argsort(-allv, kind='stable')
+    values, counts = _chunked_sequences()["prefix"].runs(1000)
+    assert _hex(values) == _hex(allv[order])
+    assert counts.tolist() == allc[order].tolist()
+
+
+def test_harmonic_streamed_sum_matches_digamma_oracle():
+    """H_N = psi(N + 1) + gamma; N - 1 sequential additions of positive
+    terms err by at most N u H_N, u = 2^-53."""
+    n = 10**7
+    got = dx.partial_sums(dx.harmonic(), [n - 1])[0]
+    expect = digamma(n + 1) + np.euler_gamma
+    assert abs(got - expect) <= n * 2.0**-53 * expect
+
+
+def test_rise_across_chunk_boundary_is_rejected():
+    def chunks(second):
+        def fn(n):
+            yield np.array([3.0, 2.0]), np.array([1, 1])
+            yield np.array([second, 1.0]), np.array([1, 1])
+        return fn
+    level = dx.SingularValueSeq(name="level", chunks_fn=chunks(2.0))
+    assert dx.partial_sums(level, [3])[0] == 8.0
+    rising = dx.SingularValueSeq(name="rising", chunks_fn=chunks(2.5))
+    with pytest.raises(ValueError, match="non-increasing"):
+        dx.partial_sums(rising, [3])
+    with pytest.raises(ValueError, match="non-increasing"):
+        rising.runs(4)
+
+
+def test_streamed_partial_sums_memory_bound():
+    """Summing 2e7 circle terms holds one chunk at a time; all runs at
+    once take several hundred MB."""
+    seq = mt.circle_singular_values(mt.CircleSpec())
+    tracemalloc.start()
+    try:
+        dx.partial_sums(seq, [2 * 10**7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -38,6 +38,12 @@ def test_circle_runs_antiperiodic():
     assert seq.kernel_dim == 0
 
 
+def test_edited_sequences_keep_kernel_dim():
+    seq = mt.circle_singular_values(mt.CircleSpec())
+    assert seq.with_prefix([5.0]).kernel_dim == 1
+    assert seq.scaled(2.0).kernel_dim == 1
+
+
 def test_circle_volume_estimate():
     est, expected = mt.volume_check(
         "circle", schedule=[10**4, 10**5, 10**6, 10**7])
