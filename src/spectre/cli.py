@@ -72,6 +72,8 @@ def cmd_clifford_table(args):
 
 def cmd_hochschild(args):
     from . import univdiff as ud
+    if args.chains < 1:
+        raise UsageError(f"--chains: {args.chains} runs no check; needs >= 1")
     rng = random.Random(args.seed)
     results = {}
     for model in (ud.CircleModel(), ud.DiagonalModel()):

@@ -112,13 +112,14 @@ def torus_singular_values(spec, max_terms=2 * 10**7):
                              return_counts=True)
     keep = uniq > 0
     values = 1.0 / np.sqrt(uniq[keep])
+    kernel = int(counts[~keep].sum()) * mult    # the dropped zero modes
     counts = counts[keep] * mult
 
     def fn(n):
         if n > counts.sum():
             raise ValueError("enumerated shell exhausted; raise max_terms")
         return values, counts
-    return SingularValueSeq(fn, name=f"torus(p={spec.p})")
+    return SingularValueSeq(fn, name=f"torus(p={spec.p})", kernel_dim=kernel)
 
 
 def torus_power_sequence(spec, power, max_terms=2 * 10**7):

@@ -4,8 +4,10 @@ algebras, with the induced commutator representation and junk forms.
 Chains are exact: a degree-n chain is a rational linear combination of
 word tuples (w0, w1, ..., wn) over the model's commutative word basis,
 normal form C_n = A (x) Abar^n (a unit in any slot past the first kills
-the term).  Model representations are integer matrices, so every window
-identity is checked with exact arithmetic.
+the term).  In both models pi(a) and D are weighted shifts, and so is every
+represented chain: a `WeightedShift` holds sum_s diag(w_s) P^s with exact
+integer or rational weights, so every window identity is checked with
+exact arithmetic and no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,56 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+
+# ----------------------------------------------------------------------
+# weighted shifts
+
+class WeightedShift:
+    """Exact n x n operator sum_s diag(w_s) P^s: the s-term holds w_s[i] at
+    (i, (i + s) mod n).  Weights are object vectors of Python ints or
+    Fractions, so no product can overflow.  `np.asarray` gives the dense
+    matrix."""
+
+    __array_ufunc__ = None      # numpy operands must not densify silently
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = terms or {}    # shift in range(n) -> weight vector
+
+    @classmethod
+    def diagonal(cls, weights):
+        return cls(len(weights), {0: np.array(weights, dtype=object)})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for s, g in other.terms.items():
+            terms[s] = terms.get(s, 0) + g
+        return WeightedShift(self.n, terms)
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __mul__(self, k):
+        return WeightedShift(self.n, {s: k * w for s, w in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        # diag(w) P^s diag(g) P^t = diag(w * roll(g, -s)) P^(s+t)
+        terms = {}
+        for s, w in self.terms.items():
+            for t, g in other.terms.items():
+                st = (s + t) % self.n
+                terms[st] = terms.get(st, 0) + w * np.roll(g, -s)
+        return WeightedShift(self.n, terms)
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros((self.n, self.n), dtype=object)
+        rows = np.arange(self.n)
+        for s, w in self.terms.items():
+            out[rows, (rows + s) % self.n] += w
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -30,9 +82,8 @@ class CircleModel:
         self.n = n
         self.margin = margin
         self.power_cap = power_cap
-        self.D = np.diag(np.arange(n)).astype(np.int64)
+        self.D = WeightedShift.diagonal(range(n))
         self.window = np.arange(margin, n - margin)
-        self._shift = np.roll(np.eye(n, dtype=np.int64), -1, axis=0).T
 
     # word algebra: words are ints k <-> u^k
     unit = 0
@@ -50,7 +101,9 @@ class CircleModel:
         return -w
 
     def pi(self, w):
-        return np.linalg.matrix_power(self._shift, w % self.n)
+        # u^w maps e_j to e_(j+w): ones on the shift -w
+        return WeightedShift(self.n,
+                             {-w % self.n: np.ones(self.n, dtype=object)})
 
     def reach(self, word_tuple):
         # wrap-around contamination travels this many slots at most
@@ -67,9 +120,9 @@ class DiagonalModel:
     def __init__(self, n=12, power_cap=3):
         self.n = n
         self.power_cap = power_cap
-        self.D = np.diag(np.arange(1, n + 1)).astype(np.int64)
+        self.D = WeightedShift.diagonal(range(1, n + 1))
         self.window = np.arange(n)
-        self._d = np.diag(np.arange(n) % 3 - 1).astype(np.int64)
+        self._d = np.array([i % 3 - 1 for i in range(n)], dtype=object)
 
     unit = 0
 
@@ -86,7 +139,7 @@ class DiagonalModel:
         return w
 
     def pi(self, w):
-        return np.linalg.matrix_power(self._d, w)
+        return WeightedShift.diagonal(self._d ** w)
 
     def reach(self, word_tuple):
         return 0
@@ -146,14 +199,12 @@ class UniversalChain:
         return (self.degree == other.degree and self.terms == other.terms)
 
 
-def chain(model, *word_tuples, coeffs=None):
+def chain(model, *word_tuples):
     if not word_tuples:
         raise ValueError("empty chain needs an explicit degree")
-    deg = len(word_tuples[0]) - 1
-    out = UniversalChain(model, deg)
-    coeffs = coeffs or [Fraction(1)] * len(word_tuples)
-    for wt, c in zip(word_tuples, coeffs):
-        out.accum(tuple(wt), Fraction(c))
+    out = UniversalChain(model, len(word_tuples[0]) - 1)
+    for wt in word_tuples:
+        out.accum(tuple(wt), Fraction(1))
     return out
 
 
@@ -275,14 +326,14 @@ def random_chain(model, degree, rng, nterms=3):
 # ----------------------------------------------------------------------
 # representation by commutators
 
-def represent(c, model=None):
-    """pi(a0 da1 ... dan) = pi(a0) [D, pi(a1)] ... [D, pi(an)]."""
-    m = model or c.model
-    size = m.D.shape[0]
-    out = np.zeros((size, size), dtype=object)
+def represent(c):
+    """pi(a0 da1 ... dan) = pi(a0) [D, pi(a1)] ... [D, pi(an)], as a
+    WeightedShift."""
+    m = c.model
+    out = WeightedShift(m.n)
     margin = getattr(m, 'margin', 0)
     for wt, coeff in c.terms.items():
-        if m.reach(wt) > margin and margin:
+        if m.reach(wt) > margin:
             raise ValueError("chain reaches past the truncation margin; "
                              "enlarge the model")
         acc = m.pi(wt[0])
@@ -294,8 +345,19 @@ def represent(c, model=None):
 
 
 def window_part(mat, model):
+    """The window block of a WeightedShift or a dense n x n array, as a
+    dense object array."""
     w = model.window
-    return np.array(mat, dtype=object)[np.ix_(w, w)]
+    if not isinstance(mat, WeightedShift):
+        return np.array(mat, dtype=object)[np.ix_(w, w)]
+    pos = np.full(mat.n, -1)        # column index -> place in the window
+    pos[w] = np.arange(len(w))
+    out = np.zeros((len(w), len(w)), dtype=object)
+    for s, weights in mat.terms.items():
+        cols = pos[(w + s) % mat.n]
+        rows = np.flatnonzero(cols >= 0)
+        out[rows, cols[rows]] += weights[w[rows]]
+    return out
 
 
 def window_equal(m1, m2, model):
@@ -360,7 +422,6 @@ def _nullspace(rows):
 class JunkBasis:
     degree: int
     matrices: list
-    kernel_chains: list
 
 
 def degree_monomials(model, degree):
@@ -382,40 +443,43 @@ def junk_basis(model, degree=2):
     kernel = _nullspace([list(row) for row in zip(*cols)]) if cols else []
     # kernel vectors combine the monomials into pi-kernel chains
     junk_rows = []
-    kers = []
     for v in kernel:
         ker_chain = UniversalChain(model, 1)
         for coef, wt in zip(v, monos):
             ker_chain.accum(wt, coef)
-        kers.append(ker_chain)
         img = represent(delta(ker_chain))
         if not window_is_zero(img, model):
-            junk_rows.append((_window_vector(img, model), img))
-    basis_rows, _ = _rref([r for r, _ in junk_rows]) if junk_rows else ([], [])
-    mats = []
-    for row in basis_rows:
-        n = len(model.window)
-        mats.append(np.array(row, dtype=object).reshape(n, n))
-    return JunkBasis(degree=degree, matrices=mats, kernel_chains=kers)
+            junk_rows.append(_window_vector(img, model))
+    basis_rows, _ = _rref(junk_rows)
+    side = len(model.window)
+    mats = [np.array(row, dtype=object).reshape(side, side)
+            for row in basis_rows]
+    return JunkBasis(degree=degree, matrices=mats)
 
 
 def in_junk_span(mat, jb, model):
-    """Exact membership of the window part in the junk span."""
-    target = _window_vector(mat, model)
+    """Exact membership of the window part in the junk span.  The basis
+    rows are already independent, so the target lies in their span exactly
+    when adding it leaves the rank at len(jb.matrices)."""
     rows = [[Fraction(x) for x in m.flatten().tolist()] for m in jb.matrices]
-    if not rows:
-        return not any(target)
-    _, piv0 = _rref([list(r) for r in rows])
-    _, piv1 = _rref([list(r) for r in rows] + [list(target)])
-    return len(piv0) == len(piv1)
+    _, pivots = _rref(rows + [_window_vector(mat, model)])
+    return len(pivots) == len(jb.matrices)
 
 
 def omega1_form(model, a_word, b_word):
     """Normalized trace pairing (da, db) = Trace((da)* db)/M, the trace
-    restricted to the window (the full product is formed first so interior
-    entries are exact)."""
+    restricted to the window.  The weights are real, so
+    ((da)* db)[i, i] = sum_k da[k, i] db[k, i]; an entry (k, i) lies on one
+    shift only, so the sum pairs equal shifts, with every row k counted
+    (wrap-around rows included) and i in the window."""
     da = represent(delta(chain(model, (a_word,))))
     db = represent(delta(chain(model, (b_word,))))
-    prod = np.array(da, dtype=object).T @ np.array(db, dtype=object)
-    tr = sum(prod[i, i] for i in model.window)
+    inside = np.zeros(model.n, dtype=bool)
+    inside[model.window] = True
+    rows = np.arange(model.n)
+    tr = 0
+    for s, w in da.terms.items():
+        if s in db.terms:
+            hit = inside[(rows + s) % model.n]
+            tr += (w[hit] * db.terms[s][hit]).sum()
     return Fraction(tr, len(model.window))

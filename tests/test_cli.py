@@ -7,7 +7,7 @@ import pathlib
 import jsonschema
 import pytest
 
-from spectre import clifford, dixmier, model_triples, wodzicki
+from spectre import clifford, dixmier, model_triples, univdiff, wodzicki
 from spectre.cli import main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -207,13 +207,16 @@ def _no_computation(*args, **kwargs):
     ["dixmier", "--csv", "no-such-dir/runs.csv", "--schedule", "10,100,1000"],
     ["dixmier", "--csv", ".", "--schedule", "10,100,1000"],
     ["distance", "--graph", "no-such-dir/g.csv", "--from", "A", "--to", "B"],
+    ["hochschild", "--chains", "0"],
+    ["hochschild", "--chains", "-3"],
 ])
 def test_schedule_usage_error(capsys, monkeypatch, argv):
     for module, name in ((wodzicki, "integrand"),
                          (model_triples, "volume_check"),
                          (dixmier, "dixmier_estimate"),
                          (clifford, "find_real_structure"),
-                         (model_triples, "connes_distance")):
+                         (model_triples, "connes_distance"),
+                         (univdiff, "random_chain")):
         monkeypatch.setattr(module, name, _no_computation)
     assert_usage_error(capsys, argv)
 

@@ -44,6 +44,22 @@ def test_edited_sequences_keep_kernel_dim():
     assert seq.scaled(2.0).kernel_dim == 1
 
 
+@pytest.mark.parametrize("p, zero_modes", [(2, 2), (3, 2), (4, 4)])
+def test_torus_kernel_dim_counts_dropped_zero_modes(p, zero_modes):
+    # the zero vector is the only zero mode, carrying spinor multiplicity
+    # 2^[p/2]; a 1/2 offset in any direction leaves no zero mode
+    spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.0,) * p)
+    seq = mt.torus_singular_values(spec, max_terms=1000)
+    assert seq.kernel_dim == zero_modes
+    assert mt.torus_power_sequence(spec, 2.0, 1000).kernel_dim == zero_modes
+    for k in range(p):
+        offsets = tuple(0.5 if j == k else 0.0 for j in range(p))
+        spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=offsets)
+        assert mt.torus_singular_values(spec, max_terms=1000).kernel_dim == 0
+    spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.5,) * p)
+    assert mt.torus_singular_values(spec, max_terms=1000).kernel_dim == 0
+
+
 def test_circle_volume_estimate():
     est, expected = mt.volume_check(
         "circle", schedule=[10**4, 10**5, 10**6, 10**7])

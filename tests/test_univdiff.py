@@ -189,3 +189,84 @@ def test_margin_guard():
     big = ud.chain(CIRCLE, (2, 2, 2, 2, 2, 2, 2))
     with pytest.raises(ValueError):
         ud.represent(big)
+
+
+# ----------------------------------------------------------------------
+# dense oracle: the models as explicit n x n matrices with Python-int
+# object entries, multiplied out in full
+
+def _dense_model(model):
+    """The model's D and pi(word) as dense object matrices."""
+    n = model.n
+    if isinstance(model, ud.CircleModel):
+        # u: the cyclic shift e_j -> e_(j+1)
+        u = np.roll(np.eye(n, dtype=np.int64), -1, axis=0).T.astype(object)
+        d = np.diag(range(n)).astype(object)
+        return d, lambda w: np.linalg.matrix_power(u, w % n)
+    a = np.diag([i % 3 - 1 for i in range(n)]).astype(object)
+    d = np.diag(range(1, n + 1)).astype(object)
+    return d, lambda w: np.linalg.matrix_power(a, w)
+
+
+def _dense_represent(c):
+    dense_d, pi = _dense_model(c.model)
+    out = np.zeros(dense_d.shape, dtype=object)
+    for wt, coeff in c.terms.items():
+        acc = pi(wt[0])
+        for w in wt[1:]:
+            pw = pi(w)
+            acc = acc @ (dense_d @ pw - pw @ dense_d)
+        out = out + coeff * acc
+    return out
+
+
+def test_represent_matches_dense_oracle_on_full_matrix():
+    rng = random.Random(7)
+    for model in (CIRCLE, DIAG):
+        dense_d, pi = _dense_model(model)
+        assert np.array_equal(np.asarray(model.D), dense_d)
+        for w in model.words():
+            assert np.array_equal(np.asarray(model.pi(w)), pi(w))
+        for deg in (0, 1, 2, 3):
+            for _ in range(8):
+                c = ud.random_chain(model, deg, rng)
+                got = np.asarray(ud.represent(c))
+                # every entry, wrap-around included, and exact types only
+                assert got.shape == (model.n, model.n)
+                assert np.array_equal(got, _dense_represent(c))
+                assert all(type(x) in (int, Fraction) for x in got.flat)
+                assert np.array_equal(ud.window_part(ud.represent(c), model),
+                                      ud.window_part(got, model))
+
+
+def test_omega1_form_matches_dense_trace():
+    d = {w: _dense_represent(ud.delta(ud.chain(CIRCLE, (w,))))
+         for w in CIRCLE.words()}
+    for a in CIRCLE.words():
+        for b in CIRCLE.words():
+            # ((da)^T db)[i, i] summed over the window, every row k counted
+            tr = sum(d[a][k, i] * d[b][k, i]
+                     for i in CIRCLE.window for k in range(CIRCLE.n))
+            want = Fraction(tr, len(CIRCLE.window))
+            assert ud.omega1_form(CIRCLE, a, b) == want
+
+
+def test_in_junk_span_rejects_outside_targets():
+    jb = ud.junk_basis(CIRCLE, 2)
+    assert not ud.in_junk_span(CIRCLE.D, jb, CIRCLE)
+    assert not ud.in_junk_span(np.asarray(CIRCLE.D), jb, CIRCLE)
+    assert ud.in_junk_span(ud.WeightedShift(CIRCLE.n), jb, CIRCLE)
+    # with no junk, only the zero window is in the span
+    empty = ud.junk_basis(DIAG, 2)
+    assert ud.in_junk_span(DIAG.pi(0) - DIAG.pi(0), empty, DIAG)
+    assert not ud.in_junk_span(DIAG.D, empty, DIAG)
+
+
+def test_margin_guard_holds_at_zero_margin():
+    # with no margin the window holds the wrap-around entry of [D, u]
+    # (-7 where the continuum gives 1), so any word that travels is refused
+    small = ud.CircleModel(n=8, margin=0)
+    with pytest.raises(ValueError):
+        ud.represent(ud.chain(small, (0, 1)))
+    assert ud.window_equal(ud.represent(ud.chain(small, (small.unit,))),
+                           np.eye(8, dtype=np.int64), small)
