@@ -113,8 +113,10 @@ def cmd_hochschild(args):
 
 def cmd_dixmier(args):
     from . import dixmier as dx
+    if (args.seq is None) == (args.csv is None):
+        raise UsageError("dixmier needs exactly one of --seq and --csv")
     schedule = _schedule(args.schedule)
-    if args.csv:
+    if args.csv is not None:
         runs = []
         with _open_input(args.csv, "--csv") as fh:
             reader = csv.reader(fh)
@@ -138,13 +140,11 @@ def cmd_dixmier(args):
                 raise ValueError("CSV runs shorter than the schedule")
             return values, counts
         seq = dx.SingularValueSeq(fn, name=args.csv)
-    elif args.seq:
+    else:
         if args.seq not in dx.BUILTINS:
             raise UsageError(f"unknown sequence {args.seq!r}; known: "
                              f"{sorted(dx.BUILTINS)}")
         seq = dx.BUILTINS[args.seq]()
-    else:
-        raise UsageError("dixmier needs --seq or --csv")
     est = dx.dixmier_estimate(seq, schedule)
     payload = est.as_dict()
     payload["sequence"] = seq.name
@@ -205,11 +205,11 @@ def cmd_distance(args):
         g = mt.MetricGraph(sorted(verts), edges)
     except ValueError as exc:
         raise UsageError(f"{args.graph}: {exc}") from None
-    try:
-        d = mt.connes_distance(g, args.src, args.dst, cross_validate=True)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    for option, vertex in (("--from", args.src), ("--to", args.dst)):
+        if vertex not in verts:
+            raise UsageError(f"{option}: unknown vertex {vertex!r} in "
+                             f"{args.graph}")
+    d = mt.connes_distance(g, args.src, args.dst, cross_validate=True)
     _emit({"from": args.src, "to": args.dst, "distance": d}, args.format)
     return 0
 

@@ -245,7 +245,9 @@ def _check_real_structure(rs, p):
 def gamma_word_trace(word, p):
     """Symbolic spinor trace of a gamma word (sequence of index labels;
     a repeated label is a contraction) with the -2 delta anticommutator:
-    a delta polynomial times 2^[p/2].  Odd-length words are traceless."""
+    a delta polynomial times 2^[p/2].  Odd-length words are traceless.
+    Deltas are contracted here, where p is known; only deltas of two
+    distinct free labels are kept."""
     if not 1 <= p <= MAX_DIM:
         raise ValueError(f"dimension {p} outside supported range "
                          f"1..{MAX_DIM}")
@@ -254,20 +256,24 @@ def gamma_word_trace(word, p):
 
     def rec(lbls):
         if len(lbls) % 2 == 1:
-            return SymbolExpr.zero(p)
+            return SymbolExpr()
         if not lbls:
-            return SymbolExpr.const(p, GQ(2 ** (p // 2)))
-        first = lbls[0]
-        out = SymbolExpr.zero(p)
+            return SymbolExpr.const(GQ(2 ** (p // 2)))
+        a = lbls[0]
+        out = SymbolExpr()
         for j in range(1, len(lbls)):
-            sign = GQ(-1) if j % 2 == 0 else ONE
             # (-1)^j with 1-based j for positions 2..n, times the -delta
-            # from the anticommutator
-            rest = lbls[1:j] + lbls[j + 1:]
-            sub = rec(rest)
-            dl = SymbolExpr.mono(p, coeff=GQ(-1),
-                                 tens=(('dl', first, lbls[j]),))
-            out = out + (dl * sub).scale(sign)
+            # from the anticommutator, contracted here where p is known
+            sign = ONE if j % 2 == 0 else GQ(-1)
+            b, rest = lbls[j], lbls[1:j] + lbls[j + 1:]
+            if a == b:
+                term = rec(rest).scale(GQ(p))
+            elif a in rest or b in rest:
+                old, new = (a, b) if a in rest else (b, a)
+                term = rec(tuple(new if l == old else l for l in rest))
+            else:
+                term = SymbolExpr.mono(tens=(('dl', a, b),)) * rec(rest)
+            out = out + term.scale(sign)
         return out
 
     return rec(tuple(word))

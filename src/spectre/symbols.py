@@ -20,6 +20,11 @@ Matrix factor kinds: ('a', i), ('da', i, j), ('b',), ('om', i),
 ('dom', i, j), ('T', i), ('dT', i, j), ('g', i) gamma, ('W', i, j) the
 commutator of covariant derivatives (antisymmetric).
 
+The engine is dimension-free: nothing here depends on the dimension p, and
+a traced delta dl(i,i), which would be p, raises ValueError.  p enters
+after composition: cosphere moments and spinor traces (`spectre.wodzicki`),
+gamma contractions g^m g_m = -p (`clifford.gamma_word_trace`).
+
 Label convention: a negative label is a dummy, summed inside its
 monomial, and a positive label is free.  Canonical form writes the dummies
 of a monomial as -1, -2, ..., -k, so constructors may write dummies as
@@ -132,11 +137,9 @@ def _factor_images(f):
     return fn(f)
 
 
-def _resolve_deltas(tens, mat, dim):
-    """Contract deltas against other factors; dl(i,i) contributes a factor
-    of `dim` to the returned integer multiplier."""
+def _resolve_deltas(tens, mat):
+    """Contract deltas against other factors; a traced one raises."""
     tens = list(tens)
-    mult = 1
     changed = True
     while changed:
         changed = False
@@ -152,55 +155,44 @@ def _resolve_deltas(tens, mat, dim):
                 continue
             _, i, j = f
             if i == j:
-                if dim is None:
-                    raise ValueError("delta trace requires a dimension")
-                mult *= dim
+                raise ValueError("a traced delta needs the dimension; "
+                                 "contract it where p is known")
+            if counts.get(j, 0) > 1 or counts.get(i, 0) > 1:
                 tens.pop(pos)
-                changed = True
-                break
-            if counts.get(j, 0) > 1:
-                tens.pop(pos)
-                mapping = {j: i}
+                mapping = {j: i} if counts.get(j, 0) > 1 else {i: j}
                 tens = [_replace_indices(g, mapping) for g in tens]
                 mat = tuple(_replace_indices(g, mapping) for g in mat)
                 changed = True
                 break
-            if counts.get(i, 0) > 1:
-                tens.pop(pos)
-                mapping = {i: j}
-                tens = [_replace_indices(g, mapping) for g in tens]
-                mat = tuple(_replace_indices(g, mapping) for g in mat)
-                changed = True
-                break
-    return tuple(tens), mat, mult
+    return tuple(tens), mat
 
 
 _LIGHT = ('xi', 'x')
 
 
-def canon_mono(spow, tens, mat, coeff, dim):
+def canon_mono(spow, tens, mat, coeff):
     """Canonical (spow, tens, mat, coeff) under dummy renaming, commuting
     factor reordering and the per-factor symmetry groups."""
     if not coeff:
         return None
-    res = _canon_cached(spow, tens, mat, dim)
+    res = _canon_cached(spow, tens, mat)
     if res is None:
         return None
-    spow, tens, mat, mult, sign = res
-    return spow, tens, mat, coeff * GQ(mult * sign)
+    spow, tens, mat, sign = res
+    return spow, tens, mat, coeff if sign > 0 else -coeff
 
 
 @functools.lru_cache(maxsize=500_000)
-def _canon_cached(spow, tens, mat, dim):
+def _canon_cached(spow, tens, mat):
     """Coefficient-independent canonical form: returns
-    (spow, tens, mat, integer delta-trace multiplier, sign) or None when
-    the monomial cancels against itself.
+    (spow, tens, mat, sign) or None when the monomial cancels against
+    itself.
 
     Only the "heavy" factors (everything except xi and x) are permuted and
     run through their symmetry images; the totally symmetric xi/x factors
     inherit labels from their attachments, which keeps the search small.
     """
-    tens, mat, mult = _resolve_deltas(tens, mat, dim)
+    tens, mat = _resolve_deltas(tens, mat)
 
     # xi_i xi_i pairs are the squared norm itself
     tens = list(tens)
@@ -301,38 +293,33 @@ def _canon_cached(spow, tens, mat, dim):
         # the monomial maps to minus itself under its symmetries
         return None
     spow, tens, mat = best
-    return spow, tens, mat, mult, best_signs.pop()
+    return spow, tens, mat, best_signs.pop()
 
 
 # ----------------------------------------------------------------------
 # symbol expressions
 
 class SymbolExpr:
-    """Canonicalized sum of tensor monomials over a fixed dimension."""
+    """Canonicalized sum of tensor monomials, valid in every dimension."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, dim, terms=None):
-        self.dim = dim
+    def __init__(self, terms=None):
         self.terms = dict(terms or {})
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, dim):
-        return cls(dim)
-
-    @classmethod
-    def mono(cls, dim, coeff=ONE, spow=0, tens=(), mat=()):
-        e = cls(dim)
+    def mono(cls, coeff=ONE, spow=0, tens=(), mat=()):
+        e = cls()
         e._accum(Fraction(spow), tuple(tens), tuple(mat), _gq(coeff))
         return e
 
     @classmethod
-    def const(cls, dim, coeff):
-        return cls.mono(dim, coeff=coeff)
+    def const(cls, coeff):
+        return cls.mono(coeff=coeff)
 
     def _accum(self, spow, tens, mat, coeff):
-        c = canon_mono(spow, tens, mat, coeff, self.dim)
+        c = canon_mono(spow, tens, mat, coeff)
         if c is None:
             return
         spow, tens, mat, coeff = c
@@ -346,8 +333,7 @@ class SymbolExpr:
 
     # -- ring ops ------------------------------------------------------
     def __add__(self, other):
-        assert self.dim == other.dim
-        out = SymbolExpr(self.dim, self.terms)
+        out = SymbolExpr(self.terms)
         for (spow, tens, mat), c in other.terms.items():
             out._accum(spow, tens, mat, c)
         return out
@@ -357,7 +343,7 @@ class SymbolExpr:
 
     def scale(self, coeff):
         coeff = _gq(coeff)
-        out = SymbolExpr(self.dim)
+        out = SymbolExpr()
         if not coeff:
             return out
         for (spow, tens, mat), c in self.terms.items():
@@ -371,8 +357,7 @@ class SymbolExpr:
         """Product; shared free labels contract.  Each left monomial keeps
         its canonical dummies -1..-k and the right one's are shifted below
         them."""
-        assert self.dim == other.dim
-        out = SymbolExpr(self.dim)
+        out = SymbolExpr()
         for (sp1, t1, m1), c1 in self.terms.items():
             k = max(0, -min(_labels(t1 + m1), default=0))
             for (sp2, t2, m2), c2 in other.terms.items():
@@ -387,8 +372,7 @@ class SymbolExpr:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, SymbolExpr) and self.dim == other.dim \
-            and self.terms == other.terms
+        return isinstance(other, SymbolExpr) and self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -398,12 +382,12 @@ class SymbolExpr:
         parts = {}
         for (spow, tens, mat), c in self.terms.items():
             deg = 2 * spow + sum(1 for f in tens if f[0] == 'xi')
-            e = parts.setdefault(deg, SymbolExpr(self.dim))
+            e = parts.setdefault(deg, SymbolExpr())
             e._accum(spow, tens, mat, c)
         return parts
 
     def grade(self, deg):
-        return self.xi_degree_parts().get(Fraction(deg), SymbolExpr(self.dim))
+        return self.xi_degree_parts().get(Fraction(deg), SymbolExpr())
 
     def max_grade(self):
         parts = self.xi_degree_parts()
@@ -411,7 +395,7 @@ class SymbolExpr:
 
     def at_base(self):
         """Drop every monomial carrying an x factor."""
-        out = SymbolExpr(self.dim)
+        out = SymbolExpr()
         for (spow, tens, mat), c in self.terms.items():
             if _xdeg_t(tens) == 0:
                 out._accum(spow, tens, mat, c)
@@ -419,14 +403,14 @@ class SymbolExpr:
 
     def mod_norm(self):
         """Set the squared covector norm to 1 (cosphere restriction)."""
-        out = SymbolExpr(self.dim)
+        out = SymbolExpr()
         for (spow, tens, mat), c in self.terms.items():
             out._accum(Fraction(0), tens, mat, c)
         return out
 
     # -- calculus --------------------------------------------------------
     def diff_xi(self, idx):
-        out = SymbolExpr(self.dim)
+        out = SymbolExpr()
         for (spow, tens, mat), c in self.terms.items():
             if spow:
                 # d/dxi_idx S^k = 2 k xi_idx S^(k-1)
@@ -440,7 +424,7 @@ class SymbolExpr:
         return out
 
     def diff_x(self, idx):
-        out = SymbolExpr(self.dim)
+        out = SymbolExpr()
         for (spow, tens, mat), c in self.terms.items():
             for pos, f in enumerate(tens):
                 if f[0] != 'x':
@@ -524,12 +508,11 @@ def compose(P, Q, cutoff, drop=None):
     `drop(key)` may mark monomials as irrelevant (pruned from the inputs
     and from every intermediate sum).
     """
-    assert P.dim == Q.dim
     cutoff = Fraction(cutoff)
     if drop is not None:
         P = _pruned(P, drop)
         Q = _pruned(Q, drop)
-    out = SymbolExpr(P.dim)
+    out = SymbolExpr()
     p_max = P.max_grade()
     q_max = Q.max_grade()
     if p_max is None or q_max is None:
@@ -575,7 +558,7 @@ def compose(P, Q, cutoff, drop=None):
 
 
 def _pruned(expr, drop):
-    out = SymbolExpr(expr.dim)
+    out = SymbolExpr()
     for key, c in expr.terms.items():
         if not drop(key):
             out.terms[key] = c
@@ -585,12 +568,12 @@ def _pruned(expr, drop):
 # ----------------------------------------------------------------------
 # jets of powers of the squared covector norm
 
-def sigma2_pow(dim, k):
+def sigma2_pow(k):
     """Jet of (squared covector norm)^k in a Riemann normal chart:
     S^k - (k/6) R(r0,r1,c0,c1) xi xi x x S^(k-1) + O(x^4)."""
     k = Fraction(k)
     r0, r1, c0, c1 = -1, -2, -3, -4
-    e = SymbolExpr.mono(dim, spow=k)
+    e = SymbolExpr.mono(spow=k)
     e._accum(k - 1,
              (('R', r0, r1, c0, c1), ('xi', r0), ('xi', r1),
               ('x', c0), ('x', c1)),

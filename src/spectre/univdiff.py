@@ -167,10 +167,10 @@ class UniversalChain:
         if len(word_tuple) != self.degree + 1:
             raise ValueError("degree mismatch")
         # reduced complex: a unit in any differential slot kills the term
-        if any(w == self.model.unit for w in word_tuple[1:]):
+        if self.model.unit in word_tuple[1:]:
             return
-        cur = self.terms.get(word_tuple, Fraction(0))
-        new = cur + coeff
+        cur = self.terms.get(word_tuple)
+        new = coeff if cur is None else cur + coeff
         if new:
             self.terms[word_tuple] = new
         else:
@@ -219,11 +219,11 @@ def hochschild_b(c):
         for prod, pc in m.mul_words(wt[0], wt[1]).items():
             out.accum((prod,) + wt[2:], coeff * pc)
         for i in range(1, n):
-            sign = Fraction(-1) ** i
+            sign = (-1) ** i
             for prod, pc in m.mul_words(wt[i], wt[i + 1]).items():
                 out.accum(wt[:i] + (prod,) + wt[i + 2:],
                           coeff * pc * sign)
-        sign = Fraction(-1) ** n
+        sign = (-1) ** n
         for prod, pc in m.mul_words(wt[n], wt[0]).items():
             out.accum((prod,) + wt[1:n], coeff * pc * sign)
     return out
@@ -268,7 +268,7 @@ def sigma_op(c):
         return c.copy()
     m = c.model
     out = UniversalChain(m, c.degree)
-    sign = Fraction(-1) ** (c.degree - 1)
+    sign = (-1) ** (c.degree - 1)
     for wt, coeff in c.terms.items():
         head, a = wt[:-1], wt[-1]
         # (da)(a0 da1 ... ) = d(a a0) da1 ... - a d(a0) da1 ...
@@ -315,12 +315,19 @@ def chain_mul(c1, c2):
 
 
 def random_chain(model, degree, rng, nterms=3):
-    words = [w for w in model.words()]
-    out = UniversalChain(model, degree)
-    for _ in range(nterms):
-        wt = tuple(rng.choice(words) for _ in range(degree + 1))
-        out.accum(wt, Fraction(rng.randint(-3, 3)))
-    return out
+    """Nonzero chain of `nterms` random terms: coefficients +-1..+-3 and
+    non-unit words in the differential slots; a sum that cancels is
+    redrawn."""
+    words = model.words()
+    slot_words = [w for w in words if w != model.unit]
+    while True:
+        out = UniversalChain(model, degree)
+        for _ in range(nterms):
+            wt = [rng.choice(words)] + [rng.choice(slot_words)
+                                        for _ in range(degree)]
+            out.accum(tuple(wt), Fraction(rng.choice((-3, -2, -1, 1, 2, 3))))
+        if out.terms:
+            return out
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +347,9 @@ def represent(c):
         for w in wt[1:]:
             pw = m.pi(w)
             acc = acc @ (m.D @ pw - pw @ m.D)
-        out = out + coeff * acc
+        # an integral coefficient keeps the weights cheap Python ints
+        k = coeff.numerator if coeff.denominator == 1 else coeff
+        out = out + k * acc
     return out
 
 

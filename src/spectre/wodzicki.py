@@ -5,6 +5,10 @@ the absolute-value symbols, the order-(-p) integrand, cosphere moments,
 spinor-trace reduction and the gravity-action coefficients, all with exact
 Gaussian-rational coefficients.
 
+The symbols are dimension-free, so each is built once per process for
+every p (cached expressions are never mutated).  The dimension p enters at
+`cosphere_integrate`, `spinor_trace` and `trace_reduce`.
+
 Grading note: a symbol's order counts xi-degree only; explicit x factors
 are jet bookkeeping and count zero.  Every jet is stored to second order
 in x; a composition that would need a third x-derivative raises
@@ -13,6 +17,7 @@ JetExhausted rather than silently truncating.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,15 +40,14 @@ def _check_p(p):
 # ----------------------------------------------------------------------
 # elliptic form of the squared Dirac operator
 
-def symbol_D2(dim):
+def symbol_D2():
     """Symbol of -g^{mn} d_m d_n + a^m d_m + b with first jets of a:
     sigma2(x) + i a^m(x) xi_m + b."""
-    e = sigma2_pow(dim, 1)
-    e = e + SymbolExpr.mono(dim, coeff=I, tens=(('xi', -1),),
-                            mat=(('a', -1),))
-    e = e + SymbolExpr.mono(dim, coeff=I, tens=(('xi', -1), ('x', -2)),
+    e = sigma2_pow(1)
+    e = e + SymbolExpr.mono(coeff=I, tens=(('xi', -1),), mat=(('a', -1),))
+    e = e + SymbolExpr.mono(coeff=I, tens=(('xi', -1), ('x', -2)),
                             mat=(('da', -1, -2),))
-    e = e + SymbolExpr.mono(dim, mat=(('b',),))
+    e = e + SymbolExpr.mono(mat=(('b',),))
     return e
 
 
@@ -64,43 +68,44 @@ def _curvature_budget(key):
     return deficit > 2
 
 
-def parametrix_D2(dim):
+def parametrix_D2():
     """Jets of the order -2, -3, -4 symbols of the inverse of the squared
     Dirac operator, from the geometric-series parametrix."""
-    full = _inverse_square_full(dim)
+    full = _inverse_square_full()
     return {-2: full.grade(-2), -3: full.grade(-3), -4: full.grade(-4)}
 
 
-def _inverse_square_full(dim):
-    P0 = sigma2_pow(dim, -1)
-    sD2 = symbol_D2(dim)
-    one = SymbolExpr.const(dim, ONE)
+@functools.cache
+def _inverse_square_full():
+    P0 = sigma2_pow(-1)
+    sD2 = symbol_D2()
+    one = SymbolExpr.const(ONE)
     r = compose(sD2, P0, cutoff=-2, drop=_curvature_budget) - one
     rr = compose(r, r, cutoff=-2, drop=_curvature_budget)
     u = one - r + rr
     return compose(P0, u, cutoff=-4, drop=_curvature_budget)
 
 
-def power_symbol(dim, m):
+@functools.cache
+def power_symbol(m):
     """Jets of the three leading symbols of the (-2m)-th power, grades
-    -2m .. -2m-2, by iterated composition with the inverse square."""
+    -2m .. -2m-2: the (-2m+2)-th power composed with the inverse square."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    base = _inverse_square_full(dim)
-    acc = base
-    for k in range(2, m + 1):
-        acc = compose(acc, base, cutoff=-2 * k - 2, drop=_curvature_budget)
-    return acc
+    if m == 1:
+        return _inverse_square_full()
+    return compose(power_symbol(m - 1), _inverse_square_full(),
+                   cutoff=-2 * m - 2, drop=_curvature_budget)
 
 
-def inverse_power(dim, m):
+def inverse_power(m):
     """(sigma_{-2m-1}, sigma_{-2m-2}) of the (-2m)-th power at the base
     point."""
-    acc = power_symbol(dim, m)
+    acc = power_symbol(m)
     return acc.grade(-2 * m - 1).at_base(), acc.grade(-2 * m - 2).at_base()
 
 
-def closed_form_inverse_power(dim, m):
+def closed_form_inverse_power(m):
     """Base-point closed form of sigma_{-2m-2} of the (-2m)-th power,
     solving the composition recursion:
 
@@ -112,47 +117,45 @@ def closed_form_inverse_power(dim, m):
     the recursion with the stored derivative table forces -2/9 (see the
     golden tests for the comparison).
     """
-    par = parametrix_D2(dim)
+    par = parametrix_D2()
     s3 = par[-3]
     s4 = par[-4]
-    out = s4.at_base().scale(GQ(m)) * SymbolExpr.mono(dim, spow=-m + 1)
+    out = s4.at_base().scale(GQ(m)) * SymbolExpr.mono(spow=-m + 1)
     out = out + (s3.at_base() * s3.at_base() *
-                 SymbolExpr.mono(dim, spow=-m + 2)
+                 SymbolExpr.mono(spow=-m + 2)
                  ).scale(GQ(Fraction(m * (m - 1), 2)))
     # label 1 is free in both factors, so the product contracts it
-    xi_dx_s3 = (SymbolExpr.mono(dim, tens=(('xi', 1),)) *
+    xi_dx_s3 = (SymbolExpr.mono(tens=(('xi', 1),)) *
                 s3.diff_x(1).at_base())
-    out = out + (xi_dx_s3 * SymbolExpr.mono(dim, spow=-m)
+    out = out + (xi_dx_s3 * SymbolExpr.mono(spow=-m)
                  ).scale(I * GQ(m * (m - 1)))
-    out = out + _delta_R_xixi(dim, spow=-m - 2).scale(
+    out = out + _delta_R_xixi(spow=-m - 2).scale(
         GQ(Fraction(m * (m - 1), 6)))
-    out = out + _xixi_R_xixi(dim, spow=-m - 3).scale(
+    out = out + _xixi_R_xixi(spow=-m - 3).scale(
         GQ(Fraction(-2 * m * (m + 1) * (m - 1), 9)))
     return out
 
 
-def _delta_R_xixi(dim, spow):
-    return SymbolExpr.mono(dim, spow=spow,
-                           tens=(('R', -1, -2, -3, -3),
-                                 ('xi', -1), ('xi', -2)))
+def _delta_R_xixi(spow):
+    return SymbolExpr.mono(spow=spow, tens=(('R', -1, -2, -3, -3),
+                                            ('xi', -1), ('xi', -2)))
 
 
-def _xixi_R_xixi(dim, spow):
-    return SymbolExpr.mono(dim, spow=spow,
-                           tens=(('R', -1, -2, -3, -4),
-                                 ('xi', -1), ('xi', -2),
-                                 ('xi', -3), ('xi', -4)))
+def _xixi_R_xixi(spow):
+    return SymbolExpr.mono(spow=spow, tens=(('R', -1, -2, -3, -4),
+                                            ('xi', -1), ('xi', -2),
+                                            ('xi', -3), ('xi', -4)))
 
 
 # ----------------------------------------------------------------------
 # absolute-value symbols (odd dimensions)
 
-def abs_symbol(dim):
+def abs_symbol():
     """(sigma_1 jet, sigma_0 jet, sigma_{-1} at base) of the absolute
     value, solved order by order from |D| o |D| = D^2."""
-    s1 = sigma2_pow(dim, Fraction(1, 2))
-    sD2 = symbol_D2(dim)
-    inv_half = sigma2_pow(dim, Fraction(-1, 2))
+    s1 = sigma2_pow(Fraction(1, 2))
+    sD2 = symbol_D2()
+    inv_half = sigma2_pow(Fraction(-1, 2))
 
     c11 = compose(s1, s1, cutoff=0, drop=_curvature_budget)
     rem1 = sD2.grade(1) - c11.grade(1)
@@ -177,18 +180,14 @@ def integrand(p, parity=None):
         if p % 2 or p < 2:
             raise ValueError("even path needs even p >= 2")
         if p == 2:
-            return SymbolExpr.zero(p)
-        m = (p - 2) // 2
-        acc = power_symbol(p, m)
-        return acc.grade(-p).at_base()
+            return SymbolExpr()
+        return power_symbol((p - 2) // 2).grade(-p).at_base()
     if parity == 'odd':
         if p % 2 == 0 or p < 3:
             raise ValueError("odd path needs odd p >= 3")
-        m = (p - 1) // 2
-        acc = power_symbol(p, m)
-        s1, s0, sm1 = abs_symbol(p)
-        absD = s1 + s0 + sm1
-        out = compose(absD, acc, cutoff=-p, drop=_curvature_budget)
+        s1, s0, sm1 = abs_symbol()
+        out = compose(s1 + s0 + sm1, power_symbol((p - 1) // 2), cutoff=-p,
+                      drop=_curvature_budget)
         return out.grade(-p).at_base()
     raise ValueError(f"unknown parity {parity!r}")
 
@@ -199,9 +198,8 @@ def integrand_even_shortcut(p):
     if p % 2 or p < 2:
         raise ValueError("even shortcut needs even p >= 2")
     if p == 2:
-        return SymbolExpr.zero(p)
-    m = (p - 2) // 2
-    return closed_form_inverse_power(p, m)
+        return SymbolExpr()
+    return closed_form_inverse_power((p - 2) // 2)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +246,7 @@ def cosphere_integrate(expr, p):
     if len(expr.xi_degree_parts()) > 1:
         raise ValueError("cosphere integrand must be homogeneous")
     expr = expr.mod_norm()
-    out = SymbolExpr(expr.dim)
+    out = SymbolExpr()
     for (spow, tens, mat), c in expr.terms.items():
         xis = [f for f in tens if f[0] == 'xi']
         rest = tuple(f for f in tens if f[0] != 'xi')
@@ -277,7 +275,7 @@ def cosphere_integrate(expr, p):
 def _reduce_curvature_traces(expr):
     """Map the two fully traced curvature patterns onto the scalar:
     R(a,a,b,b) -> Rs and the cross trace R(a,b,a,b) -> -1/2 Rs."""
-    out = SymbolExpr(expr.dim)
+    out = SymbolExpr()
     for (spow, tens, mat), c in expr.terms.items():
         tens = list(tens)
         coeff = c
@@ -363,7 +361,7 @@ def _is_boundary_word(tens, mat):
 # ----------------------------------------------------------------------
 # squaring the Dirac operator
 
-def square_dirac(dim, torsion=True):
+def square_dirac(torsion=True):
     """Elliptic-form coefficients of the square of gamma^m (nabla_m + T_m):
     returns (a_expr, b_expr) with the open index of a on label FREE_MU.
 
@@ -373,16 +371,16 @@ def square_dirac(dim, torsion=True):
     contracted with g2 is inserted as the scalar-curvature term R/4.
     """
     # a^mu
-    a = SymbolExpr.mono(dim, coeff=GQ(-2), mat=(('om', FREE_MU),))
+    a = SymbolExpr.mono(coeff=GQ(-2), mat=(('om', FREE_MU),))
     if torsion:
-        a = a + SymbolExpr.mono(dim, coeff=GQ(-6), mat=(('T', FREE_MU),))
+        a = a + SymbolExpr.mono(coeff=GQ(-6), mat=(('T', FREE_MU),))
 
     # b: start from -nabla^m nabla_m + R/4; the dummies d, m, n are summed
     # within each monomial
     d, m, n = -1, -2, -3
-    b = SymbolExpr.mono(dim, coeff=GQ(-1), mat=(('dom', d, d),))
-    b = b + SymbolExpr.mono(dim, coeff=GQ(-1), mat=(('om', d), ('om', d)))
-    b = b + SymbolExpr.mono(dim, coeff=GQ(Fraction(1, 4)), tens=(('Rs',),))
+    b = SymbolExpr.mono(coeff=GQ(-1), mat=(('dom', d, d),))
+    b = b + SymbolExpr.mono(coeff=GQ(-1), mat=(('om', d), ('om', d)))
+    b = b + SymbolExpr.mono(coeff=GQ(Fraction(1, 4)), tens=(('Rs',),))
 
     if torsion:
         # zero-order terms of
@@ -393,7 +391,7 @@ def square_dirac(dim, torsion=True):
         # + (-delta+g2)(mn) T(m) om(n) - 4 T(n) om(n)           (from term 2)
         # + (-delta+g2)(mn) T(m) T(n) - 4 T(n) T(n)             (from term 3)
         def mono(coeff, *mats):
-            return SymbolExpr.mono(dim, coeff=coeff, mat=tuple(mats))
+            return SymbolExpr.mono(coeff=coeff, mat=tuple(mats))
 
         b = b + mono(GQ(-1), ('dT', d, d))
         b = b + mono(GQ(-1), ('om', d), ('T', d)) + mono(ONE, ('T', d),
@@ -416,7 +414,7 @@ def square_dirac(dim, torsion=True):
 
 def _divergence_of_a(a_expr):
     """a^m_{,m}: close the open slot with a derivative index."""
-    out = SymbolExpr(a_expr.dim)
+    out = SymbolExpr()
     deriv_kind = {'om': 'dom', 'T': 'dT'}
     for (spow, tens, mat), c in a_expr.terms.items():
         if len(mat) != 1 or mat[0][0] not in deriv_kind:
@@ -428,10 +426,10 @@ def _divergence_of_a(a_expr):
     return out
 
 
-def group_residual(dim, torsion=True):
+def group_residual(torsion=True):
     """b + (1/4) a.a - (1/2) div a, the combination whose spinor trace
     carries the curvature and torsion content."""
-    a, b = square_dirac(dim, torsion)
+    a, b = square_dirac(torsion)
     # both factors carry the free label FREE_MU, so the product contracts it
     return b + (a * a).scale(GQ(Fraction(1, 4))) \
         - _divergence_of_a(a).scale(GQ(Fraction(1, 2)))
@@ -458,25 +456,25 @@ def spinor_trace(expr, p):
     carried in the result)."""
     _check_p(p)
     # expand matrix factors into gamma bilinears
-    total = SymbolExpr.zero(p)
+    total = SymbolExpr()
     for (spow, tens, mat), c in expr.terms.items():
         tens, mat = relabel_free(tens, mat)
-        pieces = [SymbolExpr.mono(p, coeff=c, spow=spow, tens=tens)]
+        pieces = [SymbolExpr.mono(coeff=c, spow=spow, tens=tens)]
         for f in mat:
             kind = f[0]
             if kind == 'g':
-                rep = SymbolExpr.mono(p, mat=(f,))
+                rep = SymbolExpr.mono(mat=(f,))
             elif kind == 'g2':
                 # half the gamma commutator: gamma gamma + delta
                 m, n = f[1], f[2]
-                rep = SymbolExpr.mono(p, mat=(('g', m), ('g', n))) + \
-                    SymbolExpr.mono(p, tens=(('dl', m, n),))
+                rep = SymbolExpr.mono(mat=(('g', m), ('g', n))) + \
+                    SymbolExpr.mono(tens=(('dl', m, n),))
             elif kind in _EXPAND_GAMMA:
                 tname, pref, arity = _EXPAND_GAMMA[kind]
                 # the gamma pair is summed inside rep; the product below
                 # keeps it apart from the dummies of the other factors
                 tfac = (tname,) + f[1:2] + (-1, -2) + f[2:]
-                rep = SymbolExpr.mono(p, coeff=GQ(pref), tens=(tfac,),
+                rep = SymbolExpr.mono(coeff=GQ(pref), tens=(tfac,),
                                       mat=(('g', -1), ('g', -2)))
             elif kind == 'b':
                 raise ValueError("expand b before tracing")
@@ -488,7 +486,7 @@ def spinor_trace(expr, p):
             term = term * rep
         total = total + term
     # trace pure gamma words
-    out = SymbolExpr.zero(p)
+    out = SymbolExpr()
     for (spow, tens, mat), c in total.terms.items():
         tens, mat = relabel_free(tens, mat)
         labels = []
@@ -496,7 +494,7 @@ def spinor_trace(expr, p):
             assert f[0] == 'g'
             labels.append(f[1])
         tr = gamma_word_trace(labels, p)
-        pre = SymbolExpr.mono(p, coeff=c, spow=spow, tens=tens)
+        pre = SymbolExpr.mono(coeff=c, spow=spow, tens=tens)
         out = out + pre * tr
     return out
 
@@ -510,7 +508,7 @@ def trace_reduce(inv, p, torsion=True):
     if inv.a_dot_a != lam / 4 or inv.div_a != -lam / 2:
         raise ValueError("invariant does not fit the traced group pattern "
                          "b + a.a/4 - div(a)/2")
-    traced = spinor_trace(group_residual(p, torsion), p)
+    traced = spinor_trace(group_residual(torsion), p)
     pw = _pow2(p)
     out = ScalarInvariant(spinor_traced=True)
     for (spow, tens, mat), c in traced.terms.items():

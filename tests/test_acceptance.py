@@ -49,45 +49,45 @@ def test_criterion_01_real_structure_table():
         "real-structure table mismatch"
 
 
-def _printed_sigma_m4(dim):
+def _printed_sigma_m4():
     """The tabulated order -4 display (traced-curvature coefficient 2/3)."""
     d0, d1 = fresh_label(), fresh_label()
-    e = SymbolExpr.mono(dim, coeff=GQ(-1), spow=-2, mat=(('b',),))
+    e = SymbolExpr.mono(coeff=GQ(-1), spow=-2, mat=(('b',),))
     r0, r1, c = fresh_label(), fresh_label(), fresh_label()
-    e = e + SymbolExpr.mono(dim, coeff=GQ(Fraction(2, 3)), spow=-3,
+    e = e + SymbolExpr.mono(coeff=GQ(Fraction(2, 3)), spow=-3,
                             tens=(('R', r0, r1, c, c), ('xi', r0),
                                   ('xi', r1)))
-    e = e + SymbolExpr.mono(dim, coeff=GQ(2), spow=-3,
+    e = e + SymbolExpr.mono(coeff=GQ(2), spow=-3,
                             tens=(('xi', d0), ('xi', d1)),
                             mat=(('da', d0, d1),))
     a0, a1 = fresh_label(), fresh_label()
-    e = e + SymbolExpr.mono(dim, coeff=GQ(-1), spow=-3,
+    e = e + SymbolExpr.mono(coeff=GQ(-1), spow=-3,
                             tens=(('xi', a0), ('xi', a1)),
                             mat=(('a', a0), ('a', a1)))
     r = [fresh_label() for _ in range(4)]
-    e = e + SymbolExpr.mono(dim, coeff=GQ(Fraction(-4, 3)), spow=-4,
+    e = e + SymbolExpr.mono(coeff=GQ(Fraction(-4, 3)), spow=-4,
                             tens=(('R',) + tuple(r), ('xi', r[0]),
                                   ('xi', r[1]), ('xi', r[2]),
                                   ('xi', r[3])))
     return e
 
 
-def _printed_closed_form(dim, m):
+def _printed_closed_form(m):
     """Tabulated five-term closed form for the (-2m)-th power."""
-    par = w.parametrix_D2(dim)
+    par = w.parametrix_D2()
     s3, s4 = par[-3], par[-4]
-    out = s4.at_base().scale(GQ(m)) * SymbolExpr.mono(dim, spow=-m + 1)
+    out = s4.at_base().scale(GQ(m)) * SymbolExpr.mono(spow=-m + 1)
     out = out + (s3.at_base() * s3.at_base() *
-                 SymbolExpr.mono(dim, spow=-m + 2)
+                 SymbolExpr.mono(spow=-m + 2)
                  ).scale(GQ(Fraction(m * (m - 1), 2)))
     lab = fresh_label()
-    xi_dx = (SymbolExpr.mono(dim, tens=(('xi', lab),)) *
+    xi_dx = (SymbolExpr.mono(tens=(('xi', lab),)) *
              s3.diff_x(lab).at_base())
-    out = out + (xi_dx * SymbolExpr.mono(dim, spow=-m)
+    out = out + (xi_dx * SymbolExpr.mono(spow=-m)
                  ).scale(I * GQ(m * (m - 1)))
-    out = out + w._delta_R_xixi(dim, spow=-m - 2).scale(
+    out = out + w._delta_R_xixi(spow=-m - 2).scale(
         GQ(Fraction(m * (m - 1), 6)))
-    out = out + w._xixi_R_xixi(dim, spow=-m - 3).scale(
+    out = out + w._xixi_R_xixi(spow=-m - 3).scale(
         GQ(Fraction(-4 * m * (m + 1) * (m - 1), 9)))
     return out
 
@@ -96,21 +96,21 @@ def test_criterion_02_symbol_golden_tests():
     t0 = time.monotonic()
     failures = []
     for p in (4, 6):
-        par = w.parametrix_D2(p)
+        par = w.parametrix_D2()
         if par[-2].at_base().terms != \
-                SymbolExpr.mono(p, spow=-1).terms:
+                SymbolExpr.mono(spow=-1).terms:
             failures.append(f"sigma_-2 p={p}")
         d = fresh_label()
-        s3_expect = SymbolExpr.mono(p, coeff=-I, spow=-2,
+        s3_expect = SymbolExpr.mono(coeff=-I, spow=-2,
                                     tens=(('xi', d),), mat=(('a', d),))
         if par[-3].at_base().terms != s3_expect.terms:
             failures.append(f"sigma_-3 p={p}")
-        if par[-4].at_base().terms != _printed_sigma_m4(p).terms:
+        if par[-4].at_base().terms != _printed_sigma_m4().terms:
             failures.append(f"sigma_-4 p={p} (known: traced-curvature "
                             "term 1/3 vs tabulated 2/3)")
     for m in (1, 2, 3):
-        _, G = w.inverse_power(6, m)
-        if G.terms != _printed_closed_form(6, m).terms:
+        _, G = w.inverse_power(m)
+        if G.terms != _printed_closed_form(m).terms:
             failures.append(f"inverse_power m={m} (known: quartic "
                             "curvature term -2/9 vs tabulated -4/9)")
     for p in (4, 6):
@@ -173,7 +173,7 @@ def _extras_moment_zero(expr, p):
     for (spow, tens, mat), c in expr.terms.items():
         if mat or len(tens) in (3, 5):
             continue
-        probe = SymbolExpr(expr.dim)
+        probe = SymbolExpr()
         probe._accum(spow, tens, mat, c)
         if any(w.cosphere_integrate(probe, p).as_dict().values()):
             return False
@@ -304,12 +304,12 @@ def test_criterion_10_spinor_trace_identities():
     for p in (2, 3, 4):
         pw = 2 ** (p // 2)
         d = fresh_label()
-        tt = SymbolExpr.mono(p, mat=(('T', d), ('T', d)))
+        tt = SymbolExpr.mono(mat=(('T', d), ('T', d)))
         ok &= _t2_total(w.spinor_trace(tt, p)) == Fraction(-pw, 2)
         m, n = fresh_label(), fresh_label()
-        e = SymbolExpr.mono(p, coeff=GQ(Fraction(1, 2)),
+        e = SymbolExpr.mono(coeff=GQ(Fraction(1, 2)),
                             mat=(('g2', m, n), ('T', m), ('T', n)))
-        e = e + SymbolExpr.mono(p, coeff=GQ(Fraction(-1, 2)),
+        e = e + SymbolExpr.mono(coeff=GQ(Fraction(-1, 2)),
                                 mat=(('g2', m, n), ('T', n), ('T', m)))
         ok &= _t2_total(w.spinor_trace(e, p)) == Fraction(-pw)
     # gamma word traces against concrete matrices: every perfect-matching

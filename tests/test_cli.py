@@ -94,9 +94,10 @@ def test_distance_csv_roundtrip(capsys, tmp_path):
 def test_distance_disconnected_exit_code(capsys, tmp_path):
     f = tmp_path / "graph.csv"
     f.write_text("u,v,length\nA,B,1.0\nC,D,1.0\n", encoding="utf-8")
-    rc, _ = run(capsys, ["distance", "--graph", str(f),
-                         "--from", "A", "--to", "D"])
+    rc = main(["distance", "--graph", str(f), "--from", "A", "--to", "D"])
     assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: vertices are not connected")
 
 
 def test_distance_bad_header(capsys, tmp_path):
@@ -209,8 +210,15 @@ def _no_computation(*args, **kwargs):
     ["distance", "--graph", "no-such-dir/g.csv", "--from", "A", "--to", "B"],
     ["hochschild", "--chains", "0"],
     ["hochschild", "--chains", "-3"],
+    ["distance", "--graph", "graph.csv", "--from", "A", "--to", "z"],
+    ["dixmier", "--seq", "harmonic", "--csv", "runs.csv"],
 ])
-def test_schedule_usage_error(capsys, monkeypatch, argv):
+def test_schedule_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # relative inputs resolve in a directory holding a valid graph and runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.csv").write_text("u,v,length\nA,B,1.0\n",
+                                        encoding="utf-8")
+    (tmp_path / "runs.csv").write_text("1.0,2\n", encoding="utf-8")
     for module, name in ((wodzicki, "integrand"),
                          (model_triples, "volume_check"),
                          (dixmier, "dixmier_estimate"),
@@ -251,3 +259,17 @@ def test_wres_matches_golden_output(capsys, p):
     rc, out = run(capsys, ["wres", "--p", str(p)])
     assert rc == 0
     assert out.encode("utf-8") == (GOLDEN / f"wres_p{p}.json").read_bytes()
+
+
+def test_wres_sweep_in_one_process_matches_goldens(capsys):
+    """The power chain is built once per process and serves every p; a
+    sweep that builds it for p = 12 and then descends leaks no state into
+    the golden outputs."""
+    wodzicki.power_symbol.cache_clear()
+    wodzicki._inverse_square_full.cache_clear()
+    assert run(capsys, ["wres", "--p", "12"])[0] == 0
+    for p in (6, 5, 4, 3):
+        rc, out = run(capsys, ["wres", "--p", str(p)])
+        assert rc == 0
+        assert out.encode("utf-8") == \
+            (GOLDEN / f"wres_p{p}.json").read_bytes()

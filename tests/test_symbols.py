@@ -11,8 +11,8 @@ from spectre.symbols import (JetExhausted, SymbolExpr, canon_mono, compose,
                              fresh_label, sigma2_pow)
 
 
-def mono(dim=4, **kw):
-    return SymbolExpr.mono(dim, **kw)
+def mono(**kw):
+    return SymbolExpr.mono(**kw)
 
 
 def test_gaussian_rational_field():
@@ -28,9 +28,9 @@ def test_canonical_idempotent():
     res = canon_mono(Fraction(-2),
                      (('xi', 1000), ('R', 1001, 1000, 1002, 1003),
                       ('xi', 1001), ('x', 1002), ('x', 1003)),
-                     (), ONE, 4)
+                     (), ONE)
     spow, tens, mat, coeff = res
-    again = canon_mono(spow, tens, mat, coeff, 4)
+    again = canon_mono(spow, tens, mat, coeff)
     assert again == res
 
 
@@ -47,13 +47,13 @@ def test_dummy_relabel_invariance(perm):
             (('R', l[0], l[1], l[2], l[3]), ('xi', l[0]), ('xi', l[1]),
              ('xi', l[2]), ('xi', l[3]), ('xi', l[4]), ('xi', l[4]),
              ('x', l[5]), ('x', l[5])),
-            (), ONE, 4)
+            (), ONE)
 
     assert build(base) == build([ren[i] for i in base])
 
 
 def test_antisymmetric_self_contraction_vanishes():
-    assert canon_mono(Fraction(0), (('t', 1000, 1001, 1001),), (), ONE, 4) \
+    assert canon_mono(Fraction(0), (('t', 1000, 1001, 1001),), (), ONE) \
         is None
 
 
@@ -62,9 +62,16 @@ def test_xi_pair_becomes_norm_power():
     assert e.terms == {(Fraction(1), (), ()): ONE}
 
 
-def test_delta_trace_gives_dimension():
-    e = mono(dim=7, tens=(('dl', 1000, 1000),))
-    assert e.terms == {(Fraction(0), (), ()): GQ(7)}
+def test_delta_trace_is_left_to_the_gamma_trace():
+    """The engine carries no dimension: a traced delta is refused, and the
+    gamma-word trace contracts g^m g_m to -p itself."""
+    from spectre.clifford import gamma_word_trace, numeric_word_trace
+    with pytest.raises(ValueError):
+        SymbolExpr.mono(tens=(('dl', 1, 1),))
+    # g^m g_m = -7 on spinors of dimension 2^3
+    assert numeric_word_trace((0, 0), 7) == -56
+    assert gamma_word_trace((0, 0), 7).terms == \
+        {(Fraction(0), (), ()): GQ(-56)}
 
 
 def test_mul_contracts_shared_free_labels():
@@ -76,9 +83,8 @@ def test_mul_contracts_shared_free_labels():
 
 
 def test_compose_identity_symbol():
-    dim = 4
-    q = sigma2_pow(dim, -1) + mono(dim=dim, mat=(('b',),))
-    one = SymbolExpr.const(dim, ONE)
+    q = sigma2_pow(-1) + mono(mat=(('b',),))
+    one = SymbolExpr.const(ONE)
     assert compose(one, q, cutoff=-4).terms == q.terms
     assert compose(q, one, cutoff=-4).terms == q.terms
 
@@ -86,25 +92,23 @@ def test_compose_identity_symbol():
 def test_compose_first_leibniz_term():
     # c^m xi_m composed with an order-0 symbol f(x) carrying a first jet:
     # result c xi f - i c^m f_{,m}
-    dim = 3
-    c_xi = mono(dim=dim, tens=(('xi', 1000),), mat=(('a', 1000),))
-    f = mono(dim=dim, mat=(('b',),)) + \
-        mono(dim=dim, tens=(('x', 1001),), mat=(('da', 50, 1001),))
+    c_xi = mono(tens=(('xi', 1000),), mat=(('a', 1000),))
+    f = mono(mat=(('b',),)) + \
+        mono(tens=(('x', 1001),), mat=(('da', 50, 1001),))
     out = compose(c_xi, f, cutoff=-1)
     expect = (c_xi * f) + \
-        mono(dim=dim, coeff=GQ(0, -1), mat=(('a', 1002), ('da', 50, 1002)))
+        mono(coeff=GQ(0, -1), mat=(('a', 1002), ('da', 50, 1002)))
     assert out.terms == expect.terms
 
 
 def test_compose_associative_on_random_small_symbols():
-    dim = 3
     rng = random.Random(11)
     pool = [
-        lambda: sigma2_pow(dim, rng.choice([-1, 1])),
-        lambda: mono(dim=dim, tens=(('xi', fresh_label()),)).scale(
+        lambda: sigma2_pow(rng.choice([-1, 1])),
+        lambda: mono(tens=(('xi', fresh_label()),)).scale(
             GQ(rng.randint(1, 3))),
-        lambda: mono(dim=dim, mat=(('b',),)),
-        lambda: mono(dim=dim, tens=(('xi', 1000),), mat=(('a', 1000),)),
+        lambda: mono(mat=(('b',),)),
+        lambda: mono(tens=(('xi', 1000),), mat=(('a', 1000),)),
     ]
     for _ in range(8):
         P = pool[rng.randrange(len(pool))]()
@@ -120,20 +124,19 @@ def test_compose_associative_on_random_small_symbols():
         rparts = rhs.xi_degree_parts()
         for g in set(lparts) | set(rparts):
             if g >= cut:
-                assert lparts.get(g, SymbolExpr(dim)).terms == \
-                    rparts.get(g, SymbolExpr(dim)).terms
+                assert lparts.get(g, SymbolExpr()).terms == \
+                    rparts.get(g, SymbolExpr()).terms
 
 
 def test_jet_exhausted_raises():
-    dim = 3
     # an order-6 symbol against deep jets forces three x-derivatives
-    P = mono(dim=dim, spow=3)
-    Q = sigma2_pow(dim, -1)
+    P = mono(spow=3)
+    Q = sigma2_pow(-1)
     with pytest.raises(JetExhausted):
         compose(P, Q, cutoff=-1)
 
 
 def test_grading_bookkeeping():
-    e = sigma2_pow(4, Fraction(-3, 2))
+    e = sigma2_pow(Fraction(-3, 2))
     parts = e.xi_degree_parts()
     assert set(parts) == {Fraction(-3)}

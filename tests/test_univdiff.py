@@ -25,6 +25,16 @@ def test_boundary_degree_zero_errors():
         ud.hochschild_b(ud.chain(CIRCLE, (1,)))
 
 
+def test_random_chains_are_never_zero():
+    """A zero chain checks nothing, so no draw may cancel to zero or land
+    a unit in a differential slot of every term."""
+    rng = random.Random(0)
+    for model in (CIRCLE, DIAG):
+        for deg in (1, 2, 3):
+            for _ in range(2000):
+                assert not ud.random_chain(model, deg, rng).is_zero()
+
+
 def test_b_squared_zero_randomized():
     for model in (CIRCLE, DIAG):
         for deg in (2, 3, 4):

@@ -17,8 +17,8 @@ def fl():
     return fresh_label()
 
 
-def mono(dim, **kw):
-    return SymbolExpr.mono(dim, **kw)
+def mono(**kw):
+    return SymbolExpr.mono(**kw)
 
 
 def xi(i):
@@ -27,84 +27,80 @@ def xi(i):
 
 # -- expected expressions (hand-entered) --------------------------------
 
-def expected_sigma_m2(dim):
-    return mono(dim, spow=-1)
+def expected_sigma_m2():
+    return mono(spow=-1)
 
 
-def expected_sigma_m3(dim):
+def expected_sigma_m3():
     d = fl()
-    return mono(dim, coeff=-I, spow=-2, tens=(xi(d),), mat=(('a', d),))
+    return mono(coeff=-I, spow=-2, tens=(xi(d),), mat=(('a', d),))
 
 
-def expected_sigma_m4(dim, delta_R_coeff):
+def expected_sigma_m4(delta_R_coeff):
     """-b S^-2 + delta_R_coeff * (traced R) xi xi S^-3 + 2 xi da xi S^-3
     - a xi a xi S^-3 - 4/3 (xi xi R xi xi) S^-4."""
     d0, d1 = fl(), fl()
-    e = mono(dim, coeff=GQ(-1), spow=-2, mat=(('b',),))
+    e = mono(coeff=GQ(-1), spow=-2, mat=(('b',),))
     r0, r1, c = fl(), fl(), fl()
-    e = e + mono(dim, coeff=GQ(delta_R_coeff), spow=-3,
+    e = e + mono(coeff=GQ(delta_R_coeff), spow=-3,
                  tens=(('R', r0, r1, c, c), xi(r0), xi(r1)))
-    e = e + mono(dim, coeff=GQ(2), spow=-3, tens=(xi(d0), xi(d1)),
+    e = e + mono(coeff=GQ(2), spow=-3, tens=(xi(d0), xi(d1)),
                  mat=(('da', d0, d1),))
     a0, a1 = fl(), fl()
-    e = e + mono(dim, coeff=GQ(-1), spow=-3, tens=(xi(a0), xi(a1)),
+    e = e + mono(coeff=GQ(-1), spow=-3, tens=(xi(a0), xi(a1)),
                  mat=(('a', a0), ('a', a1)))
     r = [fl() for _ in range(4)]
-    e = e + mono(dim, coeff=GQ(Fraction(-4, 3)), spow=-4,
+    e = e + mono(coeff=GQ(Fraction(-4, 3)), spow=-4,
                  tens=(('R',) + tuple(r), xi(r[0]), xi(r[1]), xi(r[2]),
                        xi(r[3])))
     return e
 
 
 def test_parametrix_sigma_m2_m3_as_printed():
-    for p in (4, 6):
-        par = w.parametrix_D2(p)
-        assert par[-2].at_base().terms == expected_sigma_m2(p).terms
-        assert par[-3].at_base().terms == expected_sigma_m3(p).terms
+    par = w.parametrix_D2()
+    assert par[-2].at_base().terms == expected_sigma_m2().terms
+    assert par[-3].at_base().terms == expected_sigma_m3().terms
 
 
 def test_parametrix_sigma_m4_engine_form():
     """The derivation-consistent sigma_-4 (traced-curvature coefficient
     1/3, forced by the stored derivative table and by the final
     integrand)."""
-    for p in (4, 6):
-        par = w.parametrix_D2(p)
-        assert par[-4].at_base().terms == \
-            expected_sigma_m4(p, Fraction(1, 3)).terms
+    par = w.parametrix_D2()
+    assert par[-4].at_base().terms == \
+        expected_sigma_m4(Fraction(1, 3)).terms
 
 
 def test_parametrix_defining_property():
     """compose(symbol of the square, parametrix) - 1 has no term of
     degree >= -2 (in the tracked calculus, i.e. modulo the curvature
     budget ideal that the three-order window cannot see)."""
-    for p in (3, 4):
-        par = w.parametrix_D2(p)
-        total = par[-2] + par[-3] + par[-4]
-        left = compose(w.symbol_D2(p), total, cutoff=-2,
-                       drop=w._curvature_budget)
-        assert left.terms == SymbolExpr.const(p, ONE).terms
+    par = w.parametrix_D2()
+    total = par[-2] + par[-3] + par[-4]
+    left = compose(w.symbol_D2(), total, cutoff=-2,
+                   drop=w._curvature_budget)
+    assert left.terms == SymbolExpr.const(ONE).terms
 
 
 def test_inverse_power_base_case_matches_parametrix():
-    p = 4
-    par = w.parametrix_D2(p)
-    F, G = w.inverse_power(p, 1)
+    par = w.parametrix_D2()
+    F, G = w.inverse_power(1)
     assert F.terms == par[-3].at_base().terms
     assert G.terms == par[-4].at_base().terms
 
 
 def test_inverse_power_leading_odd_term():
     # sigma_{-2m-1} = m S^{-m+1} sigma_{-3}
-    for p, m in ((4, 2), (6, 3)):
-        F, _ = w.inverse_power(p, m)
-        expect = (expected_sigma_m3(p) * mono(p, spow=-m + 1)).scale(GQ(m))
+    for m in (2, 3):
+        F, _ = w.inverse_power(m)
+        expect = (expected_sigma_m3() * mono(spow=-m + 1)).scale(GQ(m))
         assert F.terms == expect.terms
 
 
 def test_inverse_power_closed_form_cross_check():
     for m in (1, 2, 3):
-        _, G = w.inverse_power(6, m)
-        cf = w.closed_form_inverse_power(6, m)
+        _, G = w.inverse_power(m)
+        cf = w.closed_form_inverse_power(m)
         assert cf.terms == G.terms
 
 
@@ -152,7 +148,7 @@ def _extract_standard_coefficients(expr, p):
             out['quartic'] += c.re
         else:
             # any other residue must vanish under the moment average
-            probe = SymbolExpr(expr.dim)
+            probe = SymbolExpr()
             probe._accum(spow, tens, mat, c)
             inv = w.cosphere_integrate(probe, p)
             if any(inv.as_dict().values()):
@@ -176,17 +172,15 @@ def test_p2_integrand_vanishes():
 # -- absolute-value symbols ---------------------------------------------
 
 def test_abs_symbol_principal_square():
-    p = 5
-    s1, _, _ = w.abs_symbol(p)
+    s1, _, _ = w.abs_symbol()
     sq = compose(s1, s1, cutoff=1).grade(2)
-    assert sq.terms == sigma2_pow(p, 1).grade(2).terms
+    assert sq.terms == sigma2_pow(1).grade(2).terms
 
 
 def test_abs_symbol_order_zero_coefficient():
-    p = 5
-    _, s0, _ = w.abs_symbol(p)
+    _, s0, _ = w.abs_symbol()
     d = fl()
-    expect = mono(p, coeff=GQ(0, Fraction(1, 2)), spow=Fraction(-1, 2),
+    expect = mono(coeff=GQ(0, Fraction(1, 2)), spow=Fraction(-1, 2),
                   tens=(xi(d),), mat=(('a', d),))
     assert s0.at_base().terms == expect.terms
 
@@ -197,8 +191,7 @@ def test_abs_symbol_order_minus_one_consistent_with_display():
     -1/4 where the display shows 1/2 and -1/8 (the display is not
     consistent with the final odd coefficients, which this derivation
     reproduces exactly)."""
-    p = 5
-    _, _, sm1 = w.abs_symbol(p)
+    _, _, sm1 = w.abs_symbol()
     got = {}
     for (spow, tens, mat), c in sm1.mod_norm().terms.items():
         if mat == (('b',),):
@@ -221,18 +214,18 @@ def test_cosphere_moment_rules():
     p = 4
     d = fl()
     # odd moment vanishes: a single xi against a free slot
-    odd = mono(p, tens=(xi(60),))
+    odd = mono(tens=(xi(60),))
     assert not any(w.cosphere_integrate(odd, p).as_dict().values())
     # xi xi against two a-factors: a.a / p
     a0, a1 = fl(), fl()
-    e = mono(p, tens=(xi(a0), xi(a1)), mat=(('a', a0), ('a', a1)))
+    e = mono(tens=(xi(a0), xi(a1)), mat=(('a', a0), ('a', a1)))
     inv = w.cosphere_integrate(e, p)
     assert inv.a_dot_a == Fraction(1, p)
 
 
 def test_cosphere_quartic_curvature_vanishes():
     p = 4
-    e = w._xixi_R_xixi(p, spow=0)
+    e = w._xixi_R_xixi(spow=0)
     inv = w.cosphere_integrate(e, p)
     assert not any(inv.as_dict().values())
 
@@ -240,7 +233,7 @@ def test_cosphere_quartic_curvature_vanishes():
 def test_cosphere_rejects_moments_beyond_degree_four():
     p = 4
     labs = [fl() for _ in range(6)]
-    e = mono(p, tens=tuple(('xi', l) for l in labs),
+    e = mono(tens=tuple(('xi', l) for l in labs),
              mat=tuple(('a', l) for l in labs))
     with pytest.raises(ValueError):
         w.cosphere_integrate(e, p)
@@ -248,7 +241,7 @@ def test_cosphere_rejects_moments_beyond_degree_four():
 
 def test_cosphere_rejects_inhomogeneous_input():
     p = 4
-    e = mono(p, mat=(('b',),)) + mono(p, spow=-1, mat=(('b',),))
+    e = mono(mat=(('b',),)) + mono(spow=-1, mat=(('b',),))
     with pytest.raises(ValueError):
         w.cosphere_integrate(e, p)
 
@@ -283,26 +276,24 @@ def test_curvature_trace_rules_hold_for_true_curvature_tensors():
 # -- squaring and traces --------------------------------------------------
 
 def test_square_dirac_first_order_coefficient():
-    p = 4
-    a_on, _ = w.square_dirac(p, torsion=True)
+    a_on, _ = w.square_dirac(torsion=True)
     d = w.FREE_MU
-    expect = mono(p, coeff=GQ(-2), mat=(('om', d),)) + \
-        mono(p, coeff=GQ(-6), mat=(('T', d),))
+    expect = mono(coeff=GQ(-2), mat=(('om', d),)) + \
+        mono(coeff=GQ(-6), mat=(('T', d),))
     assert a_on.terms == expect.terms
-    a_off, _ = w.square_dirac(p, torsion=False)
-    assert a_off.terms == mono(p, coeff=GQ(-2), mat=(('om', d),)).terms
+    a_off, _ = w.square_dirac(torsion=False)
+    assert a_off.terms == mono(coeff=GQ(-2), mat=(('om', d),)).terms
 
 
 def test_square_dirac_b_contains_lichnerowicz_and_group_terms():
-    p = 4
-    a, b = w.square_dirac(p, torsion=True)
+    a, b = w.square_dirac(torsion=True)
     # b carries the R/4 term
     rs = [c for (spow, tens, mat), c in b.terms.items()
           if tens == (('Rs',),) and not mat]
     assert rs and rs[0] == GQ(Fraction(1, 4))
     # and the grouped view: b - (1/2) div a + (1/4) a.a has no bare
     # connection terms left
-    res = w.group_residual(p, torsion=True)
+    res = w.group_residual(torsion=True)
     for (spow, tens, mat), c in res.terms.items():
         kinds = [f[0] for f in mat]
         assert kinds.count('om') + kinds.count('dom') <= 1 or 'T' in kinds
@@ -314,12 +305,12 @@ def test_spinor_trace_torsion_identities():
     for p in (2, 3, 4):
         pw = 2 ** (p // 2)
         d = fl()
-        tt = mono(p, mat=(('T', d), ('T', d)))
+        tt = mono(mat=(('T', d), ('T', d)))
         assert _t2_value(w.spinor_trace(tt, p)) == Fraction(-pw, 2)
         m, n = fl(), fl()
-        e = mono(p, coeff=GQ(Fraction(1, 2)),
+        e = mono(coeff=GQ(Fraction(1, 2)),
                  mat=(('g2', m, n), ('T', m), ('T', n)))
-        e = e + mono(p, coeff=GQ(Fraction(-1, 2)),
+        e = e + mono(coeff=GQ(Fraction(-1, 2)),
                      mat=(('g2', m, n), ('T', n), ('T', m)))
         assert _t2_value(w.spinor_trace(e, p)) == Fraction(-pw)
 
@@ -337,7 +328,7 @@ def test_trace_reduce_group_post():
     """trace(b + a.a/4 - div(a)/2) = 2^[p/2] (R/4 - 3 t.t) + boundary."""
     for p in (3, 4):
         pw = 2 ** (p // 2)
-        tr = w.spinor_trace(w.group_residual(p, torsion=True), p)
+        tr = w.spinor_trace(w.group_residual(torsion=True), p)
         rs = Fraction(0)
         t2 = Fraction(0)
         for (spow, tens, mat), c in tr.terms.items():
@@ -350,7 +341,7 @@ def test_trace_reduce_group_post():
         assert rs == Fraction(pw, 4)
         assert t2 == Fraction(-3 * pw)
         # torsion off leaves curvature only
-        tr0 = w.spinor_trace(w.group_residual(p, torsion=False), p)
+        tr0 = w.spinor_trace(w.group_residual(torsion=False), p)
         assert all(tens == (('Rs',),) for (s_, tens, m_), c in
                    tr0.terms.items())
 
@@ -409,6 +400,25 @@ def test_repeated_gravity_action_adds_no_cache_misses(p):
     assert symbols._canon_cached.cache_info().misses == misses
 
 
+def test_power_chain_is_shared_across_dimensions(monkeypatch):
+    """The symbols carry no dimension, so the (-10)-th power that
+    integrand(11) composes with |D| is the one integrand(12) reads: the
+    second call composes nothing and canonicalizes nothing new."""
+    w.integrand(11)
+    calls = []
+    original = w.compose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(w, "compose", counted)
+    misses = symbols._canon_cached.cache_info().misses
+    w.integrand(12)
+    assert calls == []
+    assert symbols._canon_cached.cache_info().misses == misses
+
+
 class _NoLabels:
     def __iter__(self):
         return self
@@ -420,7 +430,7 @@ class _NoLabels:
 def test_engine_draws_no_global_labels(monkeypatch):
     def run():
         return (w.gravity_action(4), w.gravity_action(5),
-                w.spinor_trace(w.group_residual(4), 4))
+                w.spinor_trace(w.group_residual(), 4))
 
     expected = run()
     monkeypatch.setattr(symbols, "_fresh_counter", _NoLabels())
