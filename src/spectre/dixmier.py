@@ -54,12 +54,14 @@ class SingularValueSeq:
         for values, counts in self._chunks_fn(max_terms):
             if len(values) == 0:
                 continue
+            # all(values > 0) is False on NaN; a finite head bounds the rest
+            if (not np.all(values > 0) or not math.isfinite(values[0])
+                    or np.any(counts < 1)):
+                raise ValueError(f"{self.name}: needs finite positive values "
+                                 "and counts >= 1")
             if values[0] > last or np.any(np.diff(values) > 0):
                 raise ValueError(f"{self.name}: values must be "
                                  "non-increasing")
-            if np.any(values <= 0) or np.any(counts < 1):
-                raise ValueError(f"{self.name}: needs positive values and "
-                                 "counts >= 1")
             last = values[-1]
             yield values, counts
 

@@ -48,8 +48,8 @@ class CircleSpec:
     def __post_init__(self):
         if self.spin_offset not in (0.0, 0.5):
             raise ValueError("spin offset is 0 or 1/2")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be finite and positive")
 
 
 def circle_singular_values(spec):
@@ -82,15 +82,16 @@ class TorusSpec:
             raise ValueError(f"torus dimension 2..{MAX_TORUS_P}")
         if len(self.radii) != self.p or len(self.offsets) != self.p:
             raise ValueError("radii/offsets length must equal p")
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in self.radii):
+            raise ValueError("radii must be finite and positive")
         if any(o not in (0.0, 0.5) for o in self.offsets):
             raise ValueError("offsets are 0 or 1/2")
 
 
 def torus_eigenvalue_grid(spec, shell_radius):
-    """Squared magnitudes sum_j (k_j + o_j)^2 / r_j^2, flattened, for integer
-    vectors k with every |k_j + o_j| / r_j <= shell_radius."""
+    """Squared magnitudes sum_j (k_j + o_j)^2 / r_j^2, flattened, over the
+    integer box around the ball of radius shell_radius: the independent
+    oracle of `torus_shells` and of `lattice_count_inside`."""
     lam2 = np.zeros(())
     for r, o in zip(spec.radii, spec.offsets):
         span = int(math.floor(shell_radius * r - o)) + 1
@@ -99,21 +100,64 @@ def torus_eigenvalue_grid(spec, shell_radius):
     return lam2.ravel()
 
 
+def torus_shells(spec, shell_radius):
+    """The distinct squared magnitudes lambda^2 <= shell_radius^2, ascending,
+    and how many lattice vectors carry each, built one axis at a time.
+
+    Each axis contributes its half axis (k + o_j)^2 / r_j^2, k >= 0, with
+    weight 2 for the +- pair (1 for the zero value).  Every key meets the
+    next axis's terms that keep the sum inside the ball, and equal sums
+    merge.  Sums are taken in axis order as in `torus_eigenvalue_grid`,
+    so every key is the float the grid gives, for any radii and offsets;
+    partial sums never exceed full ones, so pruning them is exact."""
+    bound = shell_radius * shell_radius
+    # slack for the rounding of bound - key; the test on the sum is exact
+    slack = 4 * np.finfo(np.float64).eps * bound
+    keys = np.zeros(1)
+    points = np.ones(1, dtype=np.int64)
+    for r, o in zip(spec.radii, spec.offsets):
+        span = int(math.floor(shell_radius * r - o)) + 1
+        axis = (np.arange(span + 1, dtype=np.float64) + o) / r
+        axis2 = axis * axis
+        weight = np.where(axis2 == 0.0, 1, 2)
+        # the sorted prefix of axis terms each key may take
+        take = np.searchsorted(axis2, bound - keys + slack, side='right')
+        col = np.arange(int(take.sum()))
+        col -= np.repeat(np.cumsum(take) - take, take)
+        sums = np.repeat(keys, take)
+        sums += axis2[col]
+        weights = np.repeat(points, take)
+        weights *= weight[col]
+        del col     # peak memory is a few arrays of the candidate count
+        inside = sums <= bound
+        if not inside.all():
+            sums, weights = sums[inside], weights[inside]
+        order = np.argsort(sums)
+        sums = sums[order]
+        weights = weights[order]
+        del order
+        first = np.ones(len(sums), dtype=bool)
+        first[1:] = sums[1:] != sums[:-1]
+        starts = np.flatnonzero(first)
+        keys, points = sums[starts], np.add.reduceat(weights, starts)
+    return keys, points
+
+
 def torus_singular_values(spec, max_terms=2 * 10**7):
     """Singular values of the inverse operator: 1/|lambda| over the dual
     lattice with spinor multiplicity 2^[p/2], merged into decreasing
-    runs of exactly equal squared magnitudes."""
+    runs of exactly equal squared magnitudes, over a ball sized for
+    max_terms terms; asking for more terms than it holds raises."""
     mult = 2 ** (spec.p // 2)
     # choose the shell just large enough for max_terms
     vol_ball = math.pi ** (spec.p / 2) / math.gamma(spec.p / 2 + 1)
     dens = np.prod(spec.radii) * vol_ball
     shell = (1.25 * max_terms / (mult * dens)) ** (1.0 / spec.p) + 2
-    uniq, counts = np.unique(torus_eigenvalue_grid(spec, shell),
-                             return_counts=True)
-    keep = uniq > 0
-    values = 1.0 / np.sqrt(uniq[keep])
-    kernel = int(counts[~keep].sum()) * mult    # the dropped zero modes
-    counts = counts[keep] * mult
+    keys, points = torus_shells(spec, shell)
+    keep = keys > 0
+    values = 1.0 / np.sqrt(keys[keep])
+    kernel = int(points[~keep].sum()) * mult    # the dropped zero modes
+    counts = points[keep] * mult
 
     def fn(n):
         if n > counts.sum():

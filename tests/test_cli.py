@@ -261,6 +261,14 @@ def test_wres_matches_golden_output(capsys, p):
     assert out.encode("utf-8") == (GOLDEN / f"wres_p{p}.json").read_bytes()
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_volume_torus_matches_golden_output(capsys, p):
+    rc, out = run(capsys, ["volume", "--model", "torus", "--p", str(p)])
+    assert rc == 0
+    assert out.encode("utf-8") == \
+        (GOLDEN / f"volume_torus_p{p}.json").read_bytes()
+
+
 def test_wres_sweep_in_one_process_matches_goldens(capsys):
     """The power chain is built once per process and serves every p; a
     sweep that builds it for p = 12 and then descends leaks no state into

@@ -222,6 +222,20 @@ def test_sequence_validation():
         bad.runs(2)
 
 
+@pytest.mark.parametrize("values", [[math.nan, math.nan], [1.0, math.nan],
+                                    [math.nan, 1.0], [math.inf, 1.0],
+                                    [math.inf, math.inf]])
+def test_sequence_rejects_non_finite_values(values):
+    """NaN compares False both ways, so it passes an order test and a
+    `<= 0` test; an infinite head would make every sum infinite."""
+    seq = dx.SingularValueSeq(
+        lambda n: (np.array(values), np.array([1, 1])), name="odd")
+    with pytest.raises(ValueError, match="finite positive"):
+        seq.runs(2)
+    with pytest.raises(ValueError, match="finite positive"):
+        dx.partial_sums(seq, [1])
+
+
 def _hex(xs):
     return [float(x).hex() for x in xs]
 

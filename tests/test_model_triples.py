@@ -3,6 +3,7 @@ graph distance."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,78 @@ def test_torus_irrational_radius_matches_lattice_enumeration():
     np.testing.assert_allclose(got, direct, rtol=1e-12)
 
 
+# radii for the shell oracle, unit and irrational; each runs with offsets
+# all 0, all 1/2 and mixed
+SHELL_RADII = {2: [(1.0, 1.0), (1.0, 1.37), (0.5, 1.5)],
+               3: [(1.0, 1.0, 1.0), (2.0, 1.0, 0.7)],
+               4: [(1.0,) * 4, (1.0, 1.37, 0.5, 0.7)]}
+
+
+@pytest.mark.parametrize("p, radii", [(p, r) for p, rs in SHELL_RADII.items()
+                                      for r in rs])
+@pytest.mark.parametrize("offsets", ["zero", "half", "mixed"])
+def test_torus_shells_match_grid_oracle(p, radii, offsets):
+    """The axis-by-axis shells are the grid's distinct squared magnitudes
+    inside the ball, bit for bit, with the grid's counts."""
+    offs = {"zero": (0.0,) * p, "half": (0.5,) * p,
+            "mixed": tuple(0.5 * (j % 2) for j in range(p))}[offsets]
+    spec = mt.TorusSpec(p=p, radii=radii, offsets=offs)
+    for shell in (0.3, 2.5, 7.3, {2: 40.0, 3: 12.0, 4: 6.0}[p]):
+        keys, points = mt.torus_shells(spec, shell)
+        uniq, counts = np.unique(mt.torus_eigenvalue_grid(spec, shell),
+                                 return_counts=True)
+        ball = uniq <= shell * shell
+        assert np.array_equal(keys, uniq[ball])
+        assert np.array_equal(points, counts[ball])
+
+
+def test_torus_spectrum_builds_no_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice grid built")
+    monkeypatch.setattr(mt, "torus_eigenvalue_grid", refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    for p in (2, 3, 4):
+        seq = mt.torus_singular_values(mt.TorusSpec(p=p, radii=(1.0,) * p,
+                                                    offsets=(0.0,) * p),
+                                       max_terms=10**4)
+        assert seq.runs(10**4)[1].sum() >= 10**4
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_torus_terms_match_enumeration_to_the_last(offset):
+    """Every term the sequence returns is a term of the direct lattice
+    enumeration, in order, and asking for more terms than the ball holds
+    raises rather than returning lattice points from outside it."""
+    seq = mt.torus_singular_values(mt.TorusSpec(offsets=(offset,) * 2),
+                                   max_terms=1000)
+    total = int(seq.runs(1)[1].sum())
+    values, counts = seq.runs(total)
+    got = np.repeat(values, counts)
+    ks = np.arange(-60, 61) + offset       # far past the shell
+    lam2 = np.add.outer(ks * ks, ks * ks).ravel()   # exact quarter-integers
+    lam2 = np.sort(lam2[lam2 > 0])
+    direct = np.repeat(1.0 / np.sqrt(lam2[:total // 2]), 2)
+    assert len(got) == total
+    assert np.array_equal(got, direct)
+    with pytest.raises(ValueError, match="exhausted"):
+        seq.runs(total + 1)
+
+
+@pytest.mark.parametrize("p, bound_mb", [(2, 96), (3, 32), (4, 8)])
+def test_torus_spectrum_memory_bound(p, bound_mb):
+    """The 1.3e7-term spectra that `volume --model torus` builds hold the
+    ball's shells, not the lattice box: the grid peaked at 186, 285 and
+    346 MB for p = 2, 3 and 4."""
+    spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.0,) * p)
+    tracemalloc.start()
+    try:
+        mt.torus_singular_values(spec, max_terms=int(1.3 * 10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
+
+
 def test_torus_volume_estimate():
     est, expected = mt.volume_check(
         "torus", p=2, schedule=[10**4, 10**5, 10**6, 10**7])
@@ -203,5 +276,12 @@ def test_graph_validation():
         mt.MetricGraph([0], [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         mt.CircleSpec(spin_offset=0.3)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            mt.CircleSpec(radius=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            mt.TorusSpec(radii=(bad, 1.0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            mt.TorusSpec(radii=(1.0, bad))
     with pytest.raises(ValueError):
         mt.TorusSpec(p=5, radii=(1,) * 5, offsets=(0,) * 5)
