@@ -17,9 +17,9 @@ import numpy as np
 
 from ._kernels import partial_sums_at
 
-# runs per chunk of the built-in generators: 2^20 runs are 16 MB of
-# values and counts
-CHUNK_RUNS = 2**20
+# runs per chunk of the built-in generators: 2^16 runs are 512 KB per
+# array, so a chunk's values, counts and running sums stay in a 2 MB L2
+CHUNK_RUNS = 2**16
 
 
 def index_chunks(start, stop):
@@ -54,16 +54,23 @@ class SingularValueSeq:
         for values, counts in self._chunks_fn(max_terms):
             if len(values) == 0:
                 continue
-            # all(values > 0) is False on NaN; a finite head bounds the rest
-            if (not np.all(values > 0) or not math.isfinite(values[0])
-                    or np.any(counts < 1)):
-                raise ValueError(f"{self.name}: needs finite positive values "
-                                 "and counts >= 1")
-            if values[0] > last or np.any(np.diff(values) > 0):
-                raise ValueError(f"{self.name}: values must be "
-                                 "non-increasing")
+            # one pass: the order test is False on any NaN, so a positive
+            # tail and a finite head bound every value
+            if not (values[0] <= last and np.all(values[1:] <= values[:-1])
+                    and values[-1] > 0 and math.isfinite(values[0])
+                    and counts.min() >= 1):
+                self._reject(values, counts)
             last = values[-1]
             yield values, counts
+
+    def _reject(self, values, counts):
+        """Raise for a chunk that failed the one-pass check; a value that
+        is not finite and positive is named before any break in order."""
+        if (not np.all(values > 0) or not math.isfinite(values[0])
+                or np.any(counts < 1)):
+            raise ValueError(f"{self.name}: needs finite positive values "
+                             "and counts >= 1")
+        raise ValueError(f"{self.name}: values must be non-increasing")
 
     def runs(self, max_terms):
         """Every run covering at least max_terms terms as one (values,
@@ -184,11 +191,16 @@ def block_oscillator():
             bounds.append(int(math.ceil(bounds[-1] ** 2)))
         bounds = np.array(bounds, dtype=np.float64)
         for ks in index_chunks(1, n + 1):
-            level = np.searchsorted(bounds, ks, side='right')
-            entry = bounds[level - 1]  # at level 0 unused (even level)
-            yield (np.where(level % 2 == 1, 3.0 / (ks + 2.0 * entry),
-                            1.0 / ks),
-                   np.ones(len(ks), dtype=np.int64))
+            first, last = np.searchsorted(bounds, ks[[0, -1]], side='right')
+            if first == last:   # the chunk lies inside one level
+                values = (3.0 / (ks + 2.0 * bounds[first - 1])
+                          if first % 2 == 1 else 1.0 / ks)
+            else:
+                level = np.searchsorted(bounds, ks, side='right')
+                entry = bounds[level - 1]  # at level 0 unused (even level)
+                values = np.where(level % 2 == 1, 3.0 / (ks + 2.0 * entry),
+                                  1.0 / ks)
+            yield values, np.ones(len(ks), dtype=np.int64)
     return SingularValueSeq(name="block-oscillator", chunks_fn=chunks)
 
 
@@ -252,7 +264,8 @@ def pinfty_norm(seq, p, n):
 def p1_norm(seq, p, n):
     """Partial sum of the (p,1) functional: sum n^(1/p - 1) mu_n; the
     n = 0 term is excluded (its weight is singular as written).  Terms
-    are written out at most CHUNK_RUNS at a time."""
+    are written out at most CHUNK_RUNS at a time and added left to right
+    onto the carried total, so the sum does not depend on CHUNK_RUNS."""
     total, first = 0.0, 0           # first: index of the chunk's first term
     for values, counts in seq.chunks(n + 1):
         ends = first + np.cumsum(counts)
@@ -260,7 +273,10 @@ def p1_norm(seq, p, n):
         for lo in range(max(first, 1), stop, CHUNK_RUNS):
             ks = np.arange(lo, min(lo + CHUNK_RUNS, stop))
             mu = values[np.searchsorted(ends, ks, side='right')]
-            total += np.sum(ks ** (1.0 / p - 1.0) * mu)
+            acc = np.empty(len(ks) + 1)
+            acc[0] = total
+            np.multiply(ks ** (1.0 / p - 1.0), mu, out=acc[1:])
+            total = np.cumsum(acc, out=acc)[-1]
         first = int(ends[-1])
     return float(total)
 

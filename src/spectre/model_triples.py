@@ -149,10 +149,15 @@ def torus_singular_values(spec, max_terms=2 * 10**7):
     runs of exactly equal squared magnitudes, over a ball sized for
     max_terms terms; asking for more terms than it holds raises."""
     mult = 2 ** (spec.p // 2)
-    # choose the shell just large enough for max_terms
+    # covering-radius bound: every point of the ball of radius R - diam
+    # lies in a lattice cell whose corner is in the ball of radius R, with
+    # diam the cell's diagonal, so that ball holds at least
+    # dens vol_ball (R - diam)^p lattice points; n counts the zero mode
     vol_ball = math.pi ** (spec.p / 2) / math.gamma(spec.p / 2 + 1)
-    dens = np.prod(spec.radii) * vol_ball
-    shell = (1.25 * max_terms / (mult * dens)) ** (1.0 / spec.p) + 2
+    dens = np.prod(spec.radii)
+    diam = math.sqrt(sum(r ** -2 for r in spec.radii))
+    n = max_terms + mult
+    shell = (n / (mult * dens * vol_ball)) ** (1.0 / spec.p) + diam
     keys, points = torus_shells(spec, shell)
     keep = keys > 0
     values = 1.0 / np.sqrt(keys[keep])
@@ -191,7 +196,7 @@ def volume_check(model, p=None, schedule=None, spin_offset=0.0):
         p = p or 2
         spec = TorusSpec(p=p, radii=(1.0,) * p, offsets=(spin_offset,) * p)
         seq = torus_power_sequence(spec, float(p),
-                                   max_terms=int(1.3 * max(schedule)))
+                                   max_terms=max(schedule) + 1)
         est = dixmier_estimate(seq, schedule)
         expected = c_p(p) * (2 * math.pi) ** p
         return est, expected

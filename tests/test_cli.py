@@ -269,6 +269,20 @@ def test_volume_torus_matches_golden_output(capsys, p):
         (GOLDEN / f"volume_torus_p{p}.json").read_bytes()
 
 
+@pytest.mark.parametrize("seq", sorted(dixmier.BUILTINS))
+def test_dixmier_csv_matches_golden_output(capsys, seq):
+    rc, out = run(capsys, ["--format", "csv", "dixmier", "--seq", seq])
+    assert rc == 0
+    assert out.encode("utf-8") == \
+        (GOLDEN / f"dixmier_{seq}.csv").read_bytes()
+
+
+def test_volume_circle_matches_golden_output(capsys):
+    rc, out = run(capsys, ["volume", "--model", "circle"])
+    assert rc == 0
+    assert out.encode("utf-8") == (GOLDEN / "volume_circle.json").read_bytes()
+
+
 def test_wres_sweep_in_one_process_matches_goldens(capsys):
     """The power chain is built once per process and serves every p; a
     sweep that builds it for p = 12 and then descends leaks no state into

@@ -200,6 +200,16 @@ def test_pinfty_and_p1_norms():
         dx.pinfty_norm(s, 1.0, 100)
 
 
+@pytest.mark.parametrize("name", ["harmonic", "geometric"])
+def test_p1_norm_does_not_depend_on_chunk_size(monkeypatch, name):
+    """The (p,1) terms are added left to right onto a carried total, so
+    the chunk size moves no bit of the sum."""
+    seq = dx.BUILTINS[name]()
+    default = [dx.p1_norm(seq, p, 5000).hex() for p in (1.5, 2, 3)]
+    monkeypatch.setattr(dx, "CHUNK_RUNS", 7)
+    assert [dx.p1_norm(seq, p, 5000).hex() for p in (1.5, 2, 3)] == default
+
+
 def test_measurability():
     assert dx.is_measurable(dx.harmonic(), 0.05)
     assert dx.is_measurable(dx.geometric(), 0.05)
@@ -224,12 +234,21 @@ def test_sequence_validation():
 
 @pytest.mark.parametrize("values", [[math.nan, math.nan], [1.0, math.nan],
                                     [math.nan, 1.0], [math.inf, 1.0],
-                                    [math.inf, math.inf]])
+                                    [math.inf, math.inf],
+                                    [3.0, math.nan, 1.0],
+                                    ([2.0, 1.0], [math.nan, 0.5])])
 def test_sequence_rejects_non_finite_values(values):
     """NaN compares False both ways, so it passes an order test and a
-    `<= 0` test; an infinite head would make every sum infinite."""
-    seq = dx.SingularValueSeq(
-        lambda n: (np.array(values), np.array([1, 1])), name="odd")
+    `<= 0` test; an infinite head would make every sum infinite.  A NaN
+    inside a chunk, or at the head of a later one, first breaks the
+    one-pass order test, and is still reported as not finite.  A tuple
+    holds one list per chunk."""
+    chunks = values if isinstance(values, tuple) else (values,)
+
+    def chunks_fn(n):
+        for v in chunks:
+            yield np.array(v), np.ones(len(v), dtype=np.int64)
+    seq = dx.SingularValueSeq(name="odd", chunks_fn=chunks_fn)
     with pytest.raises(ValueError, match="finite positive"):
         seq.runs(2)
     with pytest.raises(ValueError, match="finite positive"):
@@ -274,6 +293,18 @@ def test_chunk_boundaries_keep_partial_sums_bit_identical(monkeypatch,
     streamed = dx.partial_sums(seq, ns)
     values, counts = seq.runs(int(ns.max()) + 1)
     assert _hex(streamed) == _hex(partial_sums_at(values, counts, ns + 1))
+
+
+@pytest.mark.parametrize("chunk_runs", [5, 7, 4000])
+def test_block_oscillator_chunks_across_levels(monkeypatch, chunk_runs):
+    """A chunk inside one level evaluates that level's expression alone,
+    a chunk across a level boundary evaluates both; either way every
+    value is the one a single chunk gives (levels start at 8, 64, 4096)."""
+    whole = dx.block_oscillator().runs(5000)
+    monkeypatch.setattr(dx, "CHUNK_RUNS", chunk_runs)
+    values, counts = dx.block_oscillator().runs(5000)
+    assert _hex(values) == _hex(whole[0])
+    assert counts.tolist() == whole[1].tolist()
 
 
 def test_chunked_runs_match_one_chunk_runs(monkeypatch):
@@ -336,3 +367,16 @@ def test_streamed_partial_sums_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_partial_sums_working_set_stays_in_cache():
+    """Summing 2e7 circle terms holds a few arrays of one chunk at a
+    time: with 2^16-run chunks each array is 512 KB."""
+    seq = mt.circle_singular_values(mt.CircleSpec())
+    tracemalloc.start()
+    try:
+        dx.partial_sums(seq, [2 * 10**7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

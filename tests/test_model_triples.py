@@ -167,6 +167,26 @@ def test_torus_terms_match_enumeration_to_the_last(offset):
         seq.runs(total + 1)
 
 
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (0.5, 0.5), (1.0, 1.37),
+                                   (2.0, 1.0, 0.7), (1.0,) * 4])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_torus_ball_holds_max_terms(radii, offset):
+    """The covering-radius bound sizes the ball for at least max_terms
+    terms besides the zero mode."""
+    p = len(radii)
+    spec = mt.TorusSpec(p=p, radii=radii, offsets=(offset,) * p)
+    for max_terms in (1, 7, 1000, 10**5):
+        seq = mt.torus_singular_values(spec, max_terms=max_terms)
+        assert seq.runs(max_terms)[1].sum() >= max_terms
+
+
+def test_torus_ball_is_sized_once():
+    """Once the ball is large against a lattice cell it holds few terms
+    beyond those asked for."""
+    seq = mt.torus_singular_values(mt.TorusSpec(), max_terms=10**6)
+    assert seq.runs(1)[1].sum() < 1.05 * 10**6
+
+
 @pytest.mark.parametrize("p, bound_mb", [(2, 96), (3, 32), (4, 8)])
 def test_torus_spectrum_memory_bound(p, bound_mb):
     """The 1.3e7-term spectra that `volume --model torus` builds hold the
