@@ -184,23 +184,17 @@ def block_oscillator():
     log scale (boundaries B, B^2, B^4, ...): slope-1 blocks carry 1/n,
     slope-3 blocks carry 3/(n + 2 B_entry), which matches the incoming
     value at each entry so the sequence stays non-increasing while the
-    partial ratio oscillates without settling."""
+    partial ratio oscillates without settling.  Chunks end at the level
+    boundaries, so each chunk evaluates one level's expression."""
     def chunks(n):
         bounds = [8]
         while bounds[-1] < n:
             bounds.append(int(math.ceil(bounds[-1] ** 2)))
-        bounds = np.array(bounds, dtype=np.float64)
-        for ks in index_chunks(1, n + 1):
-            first, last = np.searchsorted(bounds, ks[[0, -1]], side='right')
-            if first == last:   # the chunk lies inside one level
-                values = (3.0 / (ks + 2.0 * bounds[first - 1])
-                          if first % 2 == 1 else 1.0 / ks)
-            else:
-                level = np.searchsorted(bounds, ks, side='right')
-                entry = bounds[level - 1]  # at level 0 unused (even level)
-                values = np.where(level % 2 == 1, 3.0 / (ks + 2.0 * entry),
-                                  1.0 / ks)
-            yield values, np.ones(len(ks), dtype=np.int64)
+        edges = [1] + [b for b in bounds if b < n + 1] + [n + 1]
+        for level, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            for ks in index_chunks(lo, hi):
+                values = 3.0 / (ks + 2.0 * lo) if level % 2 else 1.0 / ks
+                yield values, np.ones(len(ks), dtype=np.int64)
     return SingularValueSeq(name="block-oscillator", chunks_fn=chunks)
 
 

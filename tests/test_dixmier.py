@@ -297,11 +297,15 @@ def test_chunk_boundaries_keep_partial_sums_bit_identical(monkeypatch,
 
 @pytest.mark.parametrize("chunk_runs", [5, 7, 4000])
 def test_block_oscillator_chunks_across_levels(monkeypatch, chunk_runs):
-    """A chunk inside one level evaluates that level's expression alone,
-    a chunk across a level boundary evaluates both; either way every
-    value is the one a single chunk gives (levels start at 8, 64, 4096)."""
+    """Chunks end at the level boundaries (levels start at 8, 64, 4096),
+    and every value is the one a single chunk per level gives."""
     whole = dx.block_oscillator().runs(5000)
     monkeypatch.setattr(dx, "CHUNK_RUNS", chunk_runs)
+    first = 1                       # the index of each chunk's first term
+    for chunk_values, _ in dx.block_oscillator().chunks(5000):
+        last = first + len(chunk_values) - 1
+        assert not any(first < b <= last for b in (8, 64, 4096))
+        first = last + 1
     values, counts = dx.block_oscillator().runs(5000)
     assert _hex(values) == _hex(whole[0])
     assert counts.tolist() == whole[1].tolist()
