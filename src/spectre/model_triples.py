@@ -253,25 +253,27 @@ def lp_distance(graph, x, y):
     """Primal program: maximize a(x) - a(y) subject to the per-edge
     Lipschitz constraints |a(u) - a(v)| <= length."""
     from scipy.optimize import linprog
+    from scipy.sparse import coo_array
     idx = {v: i for i, v in enumerate(graph.vertices)}
     n = len(graph.vertices)
     c = np.zeros(n)
     c[idx[x]] = -1.0
     c[idx[y]] = 1.0
-    rows = []
-    rhs = []
-    for u, v, l in graph.edges:
-        row = np.zeros(n)
-        row[idx[u]] = 1.0
-        row[idx[v]] = -1.0
-        rows.append(row.copy())
-        rhs.append(l)
-        rows.append(-row)
-        rhs.append(l)
+    # rows 2k and 2k + 1 bound a(u) - a(v) and a(v) - a(u) by edge k's
+    # length, four nonzeros each, so the matrix is O(edges), not
+    # O(edges * vertices); a self-loop's two entries of a row share a
+    # column and sum to 0, which leaves the constraint 0 <= l
+    ends = np.array([(idx[u], idx[v], l) for u, v, l in graph.edges],
+                    dtype=float).reshape(-1, 3)
+    m = len(ends)
+    cols = ends[:, [0, 1, 0, 1]].astype(np.intp).ravel()
+    a_ub = coo_array((np.tile([1.0, -1.0, -1.0, 1.0], m),
+                      (np.repeat(np.arange(2 * m), 2), cols)),
+                     shape=(2 * m, n))
     # pin one value; the objective only sees differences
     a_eq = np.zeros((1, n))
     a_eq[0, idx[y]] = 1.0
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
+    res = linprog(c, A_ub=a_ub, b_ub=np.repeat(ends[:, 2], 2),
                   A_eq=a_eq, b_eq=[0.0],
                   bounds=[(None, None)] * n, method="highs")
     if res.status == 3:

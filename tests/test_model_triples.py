@@ -261,6 +261,31 @@ def test_distance_disconnected_reports_unbounded():
         mt.lp_distance(g, 0, 2)
 
 
+def test_distance_ignores_self_loops():
+    # |a(u) - a(u)| <= l bounds nothing; it must not become |a(u)| <= l
+    g = mt.MetricGraph(["a", "b"], [("a", "b", 1.0), ("b", "b", 0.25)])
+    assert mt.lp_distance(g, "b", "a") == pytest.approx(1.0, abs=1e-12)
+    assert mt.connes_distance(g, "a", "b", cross_validate=True) == 1.0
+
+
+def test_lp_constraints_are_sparse(monkeypatch):
+    import scipy.optimize
+    import scipy.sparse
+    seen = {}
+    real = scipy.optimize.linprog
+
+    def spy(c, A_ub=None, **kwargs):
+        seen["A_ub"] = A_ub
+        return real(c, A_ub=A_ub, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    g = mt.discretized_circle(200)
+    assert abs(mt.lp_distance(g, 0, 100) - math.pi) <= math.pi / 200
+    assert scipy.sparse.issparse(seen["A_ub"])
+    assert seen["A_ub"].shape == (400, 200)
+    assert seen["A_ub"].nnz == 800
+
+
 def test_lp_equals_shortest_path_on_random_graphs():
     rng = random.Random(42)
     for _ in range(100):
