@@ -14,7 +14,14 @@ Tensor factor kinds
     ('R', a, b, c, d)    curvature coefficient of the metric jet; symmetric
                          in (a,b), in (c,d), and under pair exchange
     ('t', a, b, c)       totally antisymmetric torsion components
+    ('dt', m, a, b, n)   derivative of the torsion along n; antisymmetric
+                         in (a,b)
+    ('w', m, a, b)       spin-connection coefficient; antisymmetric in (a,b)
+    ('dw', m, a, b, n)   its derivative along n; antisymmetric in (a,b)
     ('Rs',)              scalar curvature
+
+Every kind but xi and x is "heavy" and sorts below 'x', which the
+canonicalizer's pruning relies on.
 
 Matrix factor kinds: ('a', i), ('da', i, j), ('b',), ('om', i),
 ('dom', i, j), ('T', i), ('dT', i, j), ('g', i) gamma, ('W', i, j) the
@@ -188,9 +195,19 @@ def _canon_cached(spow, tens, mat):
     (spow, tens, mat, sign) or None when the monomial cancels against
     itself.
 
-    Only the "heavy" factors (everything except xi and x) are permuted and
-    run through their symmetry images; the totally symmetric xi/x factors
-    inherit labels from their attachments, which keeps the search small.
+    The representative is the least (spow, sorted tensor factors, matrix
+    factors) over every candidate: an ordering of the heavy factors
+    (everything except xi and x) within their shape groups, times one
+    symmetry image of each, with dummies renamed -1, -2, ... in order of
+    first appearance (matrix factors first, then the heavy factors, then
+    the xi/x factors).  The totally symmetric xi/x factors inherit labels
+    from their attachments, which keeps the search small.
+
+    The search is pruned without changing the result: the matrix labels
+    and the xi/x labels of light-light pairs are the same for every
+    candidate, and a candidate whose sorted heavy factors already compare
+    above the best is dropped before its xi/x factors are labelled.
+    `tests/test_symbols.py` keeps the unpruned enumeration as its oracle.
     """
     tens, mat = _resolve_deltas(tens, mat)
 
@@ -211,16 +228,50 @@ def _canon_cached(spow, tens, mat):
                 changed = True
                 break
             seen[f[1]] = pos
-    tens = tuple(tens)
 
     counts = {}
-    for f in list(tens) + list(mat):
+    for f in tens + list(mat):
         for i in _indices_of(f):
             counts[i] = counts.get(i, 0) + 1
     dummies = {i for i, c in counts.items() if c == 2}
 
     heavy = [f for f in tens if f[0] not in _LIGHT]
     light = [f for f in tens if f[0] in _LIGHT]
+
+    # labels fixed before any heavy factor is visited: every non-dummy
+    # keeps its own, and the matrix dummies are numbered in matrix order.
+    # Canonical dummy labels are negative so they can never collide with
+    # free labels when sub-expressions are recombined
+    fixed = {i: i for i in counts if i not in dummies}
+    nxt = -1
+    for f in mat:
+        for i in _indices_of(f):
+            if i not in fixed:
+                fixed[i] = nxt
+                nxt -= 1
+    mat = tuple((f[0],) + tuple(fixed[i] for i in _indices_of(f))
+                for f in mat)
+    heavy_labels = {i for f in heavy for i in _indices_of(f)}
+    start = {i: fixed[i] for i in heavy_labels if i in fixed}
+
+    # an xi/x label fixed above is the same in every candidate, and one
+    # shared with a heavy factor takes the candidate's label; light-light
+    # dummies are numbered below every heavy label, pair by pair in order
+    # of their sorted kinds
+    lit_fixed = []
+    lit_heavy = []
+    pending = {}
+    for kind, i in light:
+        if i in fixed:
+            lit_fixed.append((kind, fixed[i]))
+        elif i in heavy_labels:
+            lit_heavy.append((kind, i))
+        else:
+            pending.setdefault(i, []).append(kind)
+    nxt_light = nxt - len(heavy_labels) + len(start)
+    for kinds in sorted(pending.values(), key=sorted):
+        lit_fixed.extend((kind, nxt_light) for kind in kinds)
+        nxt_light -= 1
 
     # group heavy factors by shape; permute within groups only
     order = sorted(range(len(heavy)),
@@ -234,66 +285,45 @@ def _canon_cached(spow, tens, mat):
             groups.append((key, [k]))
     per_factor_images = [_factor_images(f) for f in heavy]
 
-    best = None
+    best_heavy = best_light = None
     best_signs = set()
     group_perms = [list(itertools.permutations(g[1])) for g in groups]
     for perm_choice in itertools.product(*group_perms):
         seq = [k for block in perm_choice for k in block]
         image_lists = [per_factor_images[k] for k in seq]
         for images in itertools.product(*image_lists):
+            mapping = dict(start)
+            nxt_heavy = nxt
             sign = 1
-            factors = []
+            rel = []
             for f, s in images:
                 sign *= s
-                factors.append(f)
-            # canonical dummy labels are negative so they can never collide
-            # with free labels when sub-expressions are recombined
-            mapping = {}
-            nxt = -1
-
-            def label(i):
-                nonlocal nxt
-                if i not in dummies:
-                    return i
-                if i not in mapping:
-                    mapping[i] = nxt
-                    nxt -= 1
-                return mapping[i]
-
-            relabeled_mat = tuple(
-                (f[0],) + tuple(label(i) for i in _indices_of(f))
-                for f in mat)
-            relabeled_heavy = [
-                (f[0],) + tuple(label(i) for i in _indices_of(f))
-                for f in factors]
-            # light factors attached to already-labelled dummies or free
-            # indices; purely light-light pairs get labels pair by pair in
-            # a deterministic order
-            pending = {}
-            fixed_light = []
-            for f in light:
-                i = f[1]
-                if i in dummies and i not in mapping:
-                    pending.setdefault(i, []).append(f[0])
-                else:
-                    fixed_light.append((f[0], label(i)))
-            for i, kinds in sorted(pending.items(),
-                                   key=lambda kv: tuple(sorted(kv[1]))):
-                lab = label(i)
-                for kd in kinds:
-                    fixed_light.append((kd, lab))
-            relabeled_tens = tuple(sorted(relabeled_heavy + fixed_light))
-            key = (spow, relabeled_tens, relabeled_mat)
-            if best is None or key < best:
-                best = key
+                out = [f[0]]
+                for i in f[1:]:
+                    j = mapping.get(i)
+                    if j is None:
+                        j = mapping[i] = nxt_heavy
+                        nxt_heavy -= 1
+                    out.append(j)
+                rel.append(tuple(out))
+            rel.sort()
+            # every heavy kind sorts below 'x' and 'xi', so the sorted
+            # tensor factors are the sorted heavy ones followed by the
+            # sorted light ones: the heavy part decides first
+            if best_heavy is not None and rel > best_heavy:
+                continue
+            lit = [(kind, mapping[i]) for kind, i in lit_heavy]
+            lit.extend(lit_fixed)
+            lit.sort()
+            if best_heavy is None or rel < best_heavy or lit < best_light:
+                best_heavy, best_light = rel, lit
                 best_signs = {sign}
-            elif key == best:
+            elif lit == best_light:
                 best_signs.add(sign)
     if len(best_signs) == 2:
         # the monomial maps to minus itself under its symmetries
         return None
-    spow, tens, mat = best
-    return spow, tens, mat, best_signs.pop()
+    return spow, tuple(best_heavy + best_light), mat, best_signs.pop()
 
 
 # ----------------------------------------------------------------------

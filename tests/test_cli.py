@@ -254,11 +254,15 @@ def test_wres_p2_has_no_action_terms(capsys):
     assert payload["coeff_t2"]["rational_of_c_p"] == "0"
 
 
-@pytest.mark.parametrize("p", [3, 4, 5, 6])
-def test_wres_matches_golden_output(capsys, p):
-    rc, out = run(capsys, ["wres", "--p", str(p)])
+@pytest.mark.parametrize(
+    "p, torsion", [(p, "on") for p in range(3, 13)] + [(12, "off")],
+    ids=[str(p) for p in range(3, 13)] + ["12-torsion-off"])
+def test_wres_matches_golden_output(capsys, p, torsion):
+    rc, out = run(capsys, ["wres", "--p", str(p), "--torsion", torsion])
     assert rc == 0
-    assert out.encode("utf-8") == (GOLDEN / f"wres_p{p}.json").read_bytes()
+    name = f"wres_p{p}.json" if torsion == "on" else \
+        f"wres_p{p}_torsion_off.json"
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

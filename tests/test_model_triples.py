@@ -91,6 +91,21 @@ def test_torus_count_oracle():
     assert enumerated == inside
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("t", [0.2, 0.1])
+def test_torus_heat_trace_matches_volume_constant(p, t):
+    """The heat trace t^(p/2) 2^[p/2] sum mult e^(-t lambda^2) / Gamma(p/2+1)
+    over the shells is c(p) Vol(T^p) up to terms exponentially small in
+    1/t (Poisson summation), so it checks the spectrum without the
+    Dixmier estimator.  The shells reach e^(-60) of the leading term."""
+    spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.0,) * p)
+    lam2, mult = mt.torus_shells(spec, math.sqrt(60 / t))
+    heat = math.fsum(mult * np.exp(-t * lam2))
+    value = t ** (p / 2) * 2 ** (p // 2) * heat / math.gamma(p / 2 + 1)
+    assert value == pytest.approx(mt.c_p(p) * (2 * math.pi) ** p,
+                                  rel=1e-12)
+
+
 def test_torus_irrational_radius_matches_lattice_enumeration():
     """Runs group exactly equal squared magnitudes, so eigenvalues of a
     torus with an irrational radius ratio stay distinct."""

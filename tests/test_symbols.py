@@ -1,11 +1,17 @@
 """Canonicalization and composition engine properties."""
 
+import contextlib
+import io
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectre import symbols, wodzicki
+from spectre.cli import main
 from spectre.rationals import GQ, I, ONE
 from spectre.symbols import (JetExhausted, SymbolExpr, canon_mono, compose,
                              fresh_label, sigma2_pow)
@@ -140,3 +146,235 @@ def test_grading_bookkeeping():
     e = sigma2_pow(Fraction(-3, 2))
     parts = e.xi_degree_parts()
     assert set(parts) == {Fraction(-3)}
+
+
+# ----------------------------------------------------------------------
+# the pruned canonicalizer against the unpruned enumeration
+
+def canon_brute_force(spow, tens, mat):
+    """The canonicalizer before pruning: every candidate ordering and
+    image of the heavy factors is relabelled in full and compared.  The
+    oracle of `symbols._canon_cached`, which must return the same tuple."""
+    tens, mat = symbols._resolve_deltas(tens, mat)
+
+    # xi_i xi_i pairs are the squared norm itself
+    tens = list(tens)
+    changed = True
+    while changed:
+        changed = False
+        seen = {}
+        for pos, f in enumerate(tens):
+            if f[0] != 'xi':
+                continue
+            if f[1] in seen:
+                other = seen[f[1]]
+                for q in sorted((pos, other), reverse=True):
+                    tens.pop(q)
+                spow = spow + 1
+                changed = True
+                break
+            seen[f[1]] = pos
+    tens = tuple(tens)
+
+    counts = {}
+    for f in list(tens) + list(mat):
+        for i in f[1:]:
+            counts[i] = counts.get(i, 0) + 1
+    dummies = {i for i, c in counts.items() if c == 2}
+
+    heavy = [f for f in tens if f[0] not in symbols._LIGHT]
+    light = [f for f in tens if f[0] in symbols._LIGHT]
+
+    # group heavy factors by shape; permute within groups only
+    order = sorted(range(len(heavy)),
+                   key=lambda k: (heavy[k][0], len(heavy[k])))
+    groups = []
+    for k in order:
+        key = (heavy[k][0], len(heavy[k]))
+        if groups and groups[-1][0] == key:
+            groups[-1][1].append(k)
+        else:
+            groups.append((key, [k]))
+    per_factor_images = [symbols._factor_images(f) for f in heavy]
+
+    best = None
+    best_signs = set()
+    group_perms = [list(itertools.permutations(g[1])) for g in groups]
+    for perm_choice in itertools.product(*group_perms):
+        seq = [k for block in perm_choice for k in block]
+        image_lists = [per_factor_images[k] for k in seq]
+        for images in itertools.product(*image_lists):
+            sign = 1
+            factors = []
+            for f, s in images:
+                sign *= s
+                factors.append(f)
+            mapping = {}
+            nxt = -1
+
+            def label(i):
+                nonlocal nxt
+                if i not in dummies:
+                    return i
+                if i not in mapping:
+                    mapping[i] = nxt
+                    nxt -= 1
+                return mapping[i]
+
+            relabeled_mat = tuple(
+                (f[0],) + tuple(label(i) for i in f[1:]) for f in mat)
+            relabeled_heavy = [
+                (f[0],) + tuple(label(i) for i in f[1:]) for f in factors]
+            pending = {}
+            fixed_light = []
+            for f in light:
+                i = f[1]
+                if i in dummies and i not in mapping:
+                    pending.setdefault(i, []).append(f[0])
+                else:
+                    fixed_light.append((f[0], label(i)))
+            for i, kinds in sorted(pending.items(),
+                                   key=lambda kv: tuple(sorted(kv[1]))):
+                lab = label(i)
+                for kd in kinds:
+                    fixed_light.append((kd, lab))
+            relabeled_tens = tuple(sorted(relabeled_heavy + fixed_light))
+            key = (spow, relabeled_tens, relabeled_mat)
+            if best is None or key < best:
+                best = key
+                best_signs = {sign}
+            elif key == best:
+                best_signs.add(sign)
+    if len(best_signs) == 2:
+        return None
+    spow, tens, mat = best
+    return spow, tens, mat, best_signs.pop()
+
+
+def _outcome(canon, key):
+    try:
+        return canon(*key)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@pytest.fixture(scope="module")
+def wres_sweep():
+    """Every key a fresh-cache `wres --p 3..12` sweep canonicalizes, in
+    one process, and the cache counters after it."""
+    real = symbols._canon_cached
+    for cache in (real, wodzicki.power_symbol,
+                  wodzicki._inverse_square_full):
+        cache.cache_clear()
+    keys = {}
+
+    def spy(spow, tens, mat):
+        keys[spow, tens, mat] = None
+        return real(spow, tens, mat)
+
+    symbols._canon_cached = spy
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for p in range(3, 13):
+                assert main(["wres", "--p", str(p)]) == 0
+    finally:
+        symbols._canon_cached = real
+    return list(keys), real.cache_info()
+
+
+def test_wres_sweep_cache_counters(wres_sweep):
+    """The counts perfbench reports as symbols.canon_*: the search is
+    all inside the cached function, and every key reaches it."""
+    keys, info = wres_sweep
+    assert (info.misses, info.hits) == (4112, 13253)
+    assert len(keys) == info.misses
+
+
+def test_canon_matches_brute_force_on_wres_sweep(wres_sweep):
+    keys, _ = wres_sweep
+    bad = [k for k in keys
+           if _outcome(symbols._canon_cached, k)
+           != _outcome(canon_brute_force, k)]
+    assert bad == []
+
+
+HEAVY_ARITY = {'R': 4, 't': 3, 'w': 3, 'dt': 4, 'dl': 2, 'Rs': 0}
+MAT_ARITY = {'a': 1, 'da': 2, 'b': 0, 'g': 1, 'W': 2}
+
+
+@st.composite
+def monomials(draw):
+    """A monomial of 0-2 R, t, w or dt, deltas, Rs, x/xi and matrix
+    factors.  Besides up to two explicit x-x or x-xi pairs, labels are
+    paired at random across all slots: free and contracted deltas,
+    light-light dummies and dummies shared with matrix factors all
+    occur."""
+    kinds = (['R'] * draw(st.integers(0, 2))
+             + ['t'] * draw(st.integers(0, 1))
+             + draw(st.lists(st.sampled_from(['w', 'dt']), max_size=1))
+             + ['dl'] * draw(st.integers(0, 2))
+             + ['Rs'] * draw(st.integers(0, 1))
+             + ['xi'] * draw(st.integers(0, 4))
+             + ['x'] * draw(st.integers(0, 3)))
+    # light-light dummies, placed as the first pairs below
+    light_pairs = draw(st.lists(st.sampled_from([('x', 'x'), ('x', 'xi')]),
+                                max_size=2))
+    mat_kinds = draw(st.lists(st.sampled_from(sorted(MAT_ARITY)),
+                              max_size=2))
+    kinds = [k for pair in light_pairs for k in pair] + kinds
+    shapes = [(k, HEAVY_ARITY.get(k, 1)) for k in kinds] + \
+        [(k, MAT_ARITY[k]) for k in mat_kinds]
+    n = sum(a for _, a in shapes)
+    fixed_pairs = 2 * len(light_pairs)
+    slots = list(range(fixed_pairs)) + \
+        draw(st.permutations(range(fixed_pairs, n)))
+    pairs = draw(st.integers(len(light_pairs), n // 2))
+    labels = draw(st.lists(st.integers(1, 99), unique=True,
+                           min_size=n - pairs, max_size=n - pairs))
+    negate = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    # slots[2m] and slots[2m + 1] share a dummy; the rest are free
+    at = [0] * n
+    for m in range(pairs):
+        lab = -labels[m] if negate[m] else labels[m]
+        at[slots[2 * m]] = at[slots[2 * m + 1]] = lab
+    for pos, lab in zip(slots[2 * pairs:], labels[pairs:]):
+        at[pos] = lab
+    factors, pos = [], 0
+    for kind, arity in shapes:
+        factors.append((kind,) + tuple(at[pos:pos + arity]))
+        pos += arity
+    order = draw(st.permutations(range(len(kinds))))
+    tens = tuple(factors[k] for k in order)
+    mat = tuple(factors[len(kinds):])
+    spow = Fraction(draw(st.integers(-12, 4)), draw(st.sampled_from([1, 2])))
+    return spow, tens, mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials())
+def test_canon_matches_brute_force_on_random_monomials(key):
+    assert _outcome(symbols._canon_cached.__wrapped__, key) == \
+        _outcome(canon_brute_force, key)
+
+
+def _docstring_tensor_kinds():
+    doc = symbols.__doc__
+    section = doc[doc.index("Tensor factor kinds"):
+                  doc.index("Matrix factor kinds")]
+    return set(re.findall(r"\('(\w+)'", section))
+
+
+def test_heavy_kinds_sort_below_light_ones():
+    """The canonicalizer compares the sorted heavy factors first, which
+    is exact only while every heavy kind sorts below 'x' and 'xi'."""
+    named = _docstring_tensor_kinds()
+    assert set(symbols._LIGHT) == {'x', 'xi'} <= named
+    heavy = (named | set(symbols._IMAGE_FNS)) - set(symbols._LIGHT)
+    assert heavy >= {'R', 'Rs', 'dl', 't', 'w', 'dt', 'dw'}
+    assert all(kind < 'x' for kind in heavy)
+
+
+def test_wres_sweep_uses_only_documented_kinds(wres_sweep):
+    keys, _ = wres_sweep
+    seen = {f[0] for _, tens, _ in keys for f in tens}
+    assert seen <= _docstring_tensor_kinds()
