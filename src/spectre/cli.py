@@ -22,6 +22,10 @@ class UsageError(Exception):
     """Bad command-line input, reported on stderr with exit code 2."""
 
 
+# term counts are int64; a checkpoint N is summed as N + 1 terms
+MAX_TERMS = 2**63 - 1
+
+
 def _number(text, kind, where):
     try:
         return kind(text)
@@ -35,6 +39,8 @@ def _schedule(text):
         raise UsageError("--schedule: needs at least 3 entries")
     if min(schedule) < 2:
         raise UsageError("--schedule: entries must be >= 2")
+    if max(schedule) > MAX_TERMS - 1:
+        raise UsageError(f"--schedule: entries must be <= {MAX_TERMS - 1}")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise UsageError("--schedule: entries must increase strictly")
     return schedule
@@ -117,7 +123,7 @@ def cmd_dixmier(args):
         raise UsageError("dixmier needs exactly one of --seq and --csv")
     schedule = _schedule(args.schedule)
     if args.csv is not None:
-        runs = []
+        runs, total = [], 0
         with _open_input(args.csv, "--csv") as fh:
             reader = csv.reader(fh)
             for row in reader:
@@ -131,15 +137,19 @@ def cmd_dixmier(args):
                 if not (math.isfinite(value) and value > 0 and count >= 1):
                     raise UsageError(f"{where}: needs a finite value > 0 "
                                      "and a count >= 1")
+                total += count
+                if total > MAX_TERMS:
+                    raise UsageError(f"{where}: counts up to this row sum "
+                                     f"to more than {MAX_TERMS}")
                 runs.append((value, count))
         values = np.array([v for v, _ in runs])
         counts = np.array([c for _, c in runs], dtype=np.int64)
 
-        def fn(n):
-            if counts.sum() < n:
+        def chunks(n):
+            if total < n:
                 raise ValueError("CSV runs shorter than the schedule")
-            return values, counts
-        seq = dx.SingularValueSeq(fn, name=args.csv)
+            yield values, counts
+        seq = dx.SingularValueSeq(chunks, name=args.csv)
     else:
         if args.seq not in dx.BUILTINS:
             raise UsageError(f"unknown sequence {args.seq!r}; known: "

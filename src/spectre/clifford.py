@@ -41,7 +41,6 @@ class Signature:
 class GammaSet:
     signature: Signature
     gammas: list                # p complex matrices
-    convention: int = -2        # fixed sign of the anticommutator
 
     @property
     def dim(self):

@@ -35,15 +35,12 @@ class SingularValueSeq:
     multiplicity runs, read as a stream of (values, counts) chunks.
 
     `chunks_fn(max_terms)` yields chunks that together cover at least
-    max_terms terms.  A hand-built `runs_fn(max_terms)` returning one
-    (values, counts) pair is read as a single chunk.  `kernel_dim` records
-    omitted kernel modes (the inverse is taken to vanish on the kernel)."""
+    max_terms terms; a sequence known all at once yields it as one chunk.
+    `kernel_dim` records omitted kernel modes (the inverse is taken to
+    vanish on the kernel)."""
 
-    def __init__(self, runs_fn=None, name="seq", kernel_dim=0, *,
-                 chunks_fn=None):
-        if (runs_fn is None) == (chunks_fn is None):
-            raise TypeError("give exactly one of runs_fn and chunks_fn")
-        self._chunks_fn = chunks_fn or _one_chunk(runs_fn)
+    def __init__(self, chunks_fn, name="seq", kernel_dim=0):
+        self._chunks_fn = chunks_fn
         self.name = name
         self.kernel_dim = kernel_dim
 
@@ -120,14 +117,6 @@ class SingularValueSeq:
                                 chunks_fn=chunks_fn)
 
 
-def _one_chunk(runs_fn):
-    def chunks_fn(n):
-        values, counts = runs_fn(n)
-        yield (np.asarray(values, dtype=np.float64),
-               np.asarray(counts, dtype=np.int64))
-    return chunks_fn
-
-
 def _drop_terms(values, counts, k):
     """Remove the first k terms of a chunk; also returns how many terms
     later chunks must still drop."""
@@ -146,10 +135,10 @@ def _drop_terms(values, counts, k):
 # ----------------------------------------------------------------------
 # built-in sequences: one chunk generator each
 
-def harmonic(shift=1.0):
+def harmonic():
     def chunks(n):
         for ks in index_chunks(0, n):
-            yield 1.0 / (ks + shift), np.ones(len(ks), dtype=np.int64)
+            yield 1.0 / (ks + 1.0), np.ones(len(ks), dtype=np.int64)
     return SingularValueSeq(name="harmonic", chunks_fn=chunks)
 
 
@@ -160,11 +149,11 @@ def harmonic_doubled():
     return SingularValueSeq(name="harmonic-doubled", chunks_fn=chunks)
 
 
-def geometric(ratio=0.5):
+def geometric():
     def chunks(n):
         m = min(n, 900)  # deeper terms would underflow
         for ks in index_chunks(0, m):
-            v = ratio ** ks
+            v = 0.5 ** ks
             yield v, np.ones(len(ks), dtype=np.int64)
         if m < n:  # constant subnormal-free tail so checkpoints resolve
             yield v[-1:], np.array([n - m], dtype=np.int64)
@@ -256,23 +245,28 @@ def pinfty_norm(seq, p, n):
 
 
 def p1_norm(seq, p, n):
-    """Partial sum of the (p,1) functional: sum n^(1/p - 1) mu_n; the
-    n = 0 term is excluded (its weight is singular as written).  Terms
-    are written out at most CHUNK_RUNS at a time and added left to right
-    onto the carried total, so the sum does not depend on CHUNK_RUNS."""
-    total, first = 0.0, 0           # first: index of the chunk's first term
-    for values, counts in seq.chunks(n + 1):
-        ends = first + np.cumsum(counts)
-        stop = min(int(ends[-1]), n + 1)
-        for lo in range(max(first, 1), stop, CHUNK_RUNS):
-            ks = np.arange(lo, min(lo + CHUNK_RUNS, stop))
-            mu = values[np.searchsorted(ends, ks, side='right')]
-            acc = np.empty(len(ks) + 1)
-            acc[0] = total
-            np.multiply(ks ** (1.0 / p - 1.0), mu, out=acc[1:])
-            total = np.cumsum(acc, out=acc)[-1]
-        first = int(ends[-1])
-    return float(total)
+    """Partial sum of the (p,1) functional: sum_{k=1..N} k^(1/p - 1) mu_k;
+    the k = 0 term is excluded (its weight is singular as written).  For
+    p >= 1 the weighted terms are non-increasing, so they are a sequence
+    of their own, written out at most CHUNK_RUNS terms at a time and added
+    left to right by `partial_sum`."""
+    if not p >= 1:
+        raise ValueError("p must be at least 1")
+    if n < 1:
+        return 0.0
+
+    def chunks_fn(m):               # weighted terms k = 1..m
+        first = 0                   # index of the chunk's first term
+        for values, counts in seq.chunks(m + 1):
+            ends = np.cumsum(counts)
+            stop = min(first + int(ends[-1]), m + 1)
+            for ks in index_chunks(max(first, 1), stop):
+                mu = values[np.searchsorted(ends, ks - first, side='right')]
+                weights = ks ** (1.0 / p - 1.0)
+                yield weights * mu, np.ones(len(ks), dtype=np.int64)
+            first += int(ends[-1])
+    return partial_sum(SingularValueSeq(chunks_fn, name=f"{seq.name}-p{p}"),
+                       n - 1)
 
 
 @dataclass
@@ -310,27 +304,17 @@ def dixmier_estimate(seq, schedule):
                          ratios=[float(r) for r in ratios])
 
 
-def default_schedule(top=10**7):
-    out = []
-    n = 10**4
-    while n <= top:
-        out.append(n)
-        n *= 10
-    return out
+def default_schedule():
+    return [10**4, 10**5, 10**6, 10**7]
 
 
-def is_measurable(seq, tol, top=10**6):
-    """Estimates over two interleaved dyadic schedules agree within tol."""
+def is_measurable(seq, tol):
+    """Estimates over two interleaved dyadic schedules, 2^10..2^18 and
+    2^10.5..2^18.5, agree within tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k = 10
-    sched_a, sched_b = [], []
-    while 2 ** k <= top:
-        sched_a.append(2 ** k)
-        b = int(2 ** (k + 0.5))
-        if b <= top:
-            sched_b.append(b)
-        k += 2
+    sched_a = [2 ** k for k in range(10, 20, 2)]
+    sched_b = [int(2 ** (k + 0.5)) for k in range(10, 20, 2)]
     ea = dixmier_estimate(seq, sched_a)
     eb = dixmier_estimate(seq, sched_b)
     return abs(ea.value - eb.value) <= tol

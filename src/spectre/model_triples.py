@@ -91,7 +91,7 @@ class TorusSpec:
 def torus_eigenvalue_grid(spec, shell_radius):
     """Squared magnitudes sum_j (k_j + o_j)^2 / r_j^2, flattened, over the
     integer box around the ball of radius shell_radius: the independent
-    oracle of `torus_shells` and of `lattice_count_inside`."""
+    oracle of `torus_shells`."""
     lam2 = np.zeros(())
     for r, o in zip(spec.radii, spec.offsets):
         span = int(math.floor(shell_radius * r - o)) + 1
@@ -163,24 +163,20 @@ def torus_singular_values(spec, max_terms=2 * 10**7):
     values = 1.0 / np.sqrt(keys[keep])
     kernel = int(points[~keep].sum()) * mult    # the dropped zero modes
     counts = points[keep] * mult
+    total = int(counts.sum())
 
-    def fn(n):
-        if n > counts.sum():
+    def chunks(n):
+        if n > total:
             raise ValueError("enumerated shell exhausted; raise max_terms")
-        return values, counts
-    return SingularValueSeq(fn, name=f"torus(p={spec.p})", kernel_dim=kernel)
+        yield values, counts
+    return SingularValueSeq(chunks, name=f"torus(p={spec.p})",
+                            kernel_dim=kernel)
 
 
 def torus_power_sequence(spec, power, max_terms=2 * 10**7):
     """Singular values of the inverse operator raised to `power`."""
     return torus_singular_values(spec, max_terms).mapped(
         lambda v: v ** power, f"torus(p={spec.p})^{power}")
-
-
-def lattice_count_inside(spec, radius):
-    """Direct count of lattice points with 0 < |lambda| <= radius."""
-    lam = np.sqrt(torus_eigenvalue_grid(spec, radius + 1e-9))
-    return int(np.count_nonzero((lam > 0) & (lam <= radius + 1e-12)))
 
 
 def volume_check(model, p=None, schedule=None, spin_offset=0.0):
@@ -284,14 +280,14 @@ def lp_distance(graph, x, y):
     return -res.fun
 
 
-def connes_distance(graph, x, y, cross_validate=False, tol=1e-9):
+def connes_distance(graph, x, y, cross_validate=False):
     """Spectral distance on the graph; shortest path is the primary
     (exact dual) algorithm, optionally cross-validated against the
-    primal program."""
+    primal program to an absolute 1e-9."""
     d = shortest_path_distance(graph, x, y)
     if cross_validate:
         lp = lp_distance(graph, x, y)
-        if abs(lp - d) > tol:
+        if abs(lp - d) > 1e-9:
             raise AssertionError(f"primal/dual gap {lp} vs {d}")
     return d
 

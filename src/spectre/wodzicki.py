@@ -269,7 +269,7 @@ def cosphere_integrate(expr, p):
         else:
             raise ValueError("moments beyond degree four are not supported")
     out = _reduce_curvature_traces(out)
-    return _classify_invariants(out, p)
+    return _classify_invariants(out)
 
 
 def _reduce_curvature_traces(expr):
@@ -305,13 +305,18 @@ def _reduce_curvature_traces(expr):
     return out
 
 
-def _classify_invariants(expr, p):
-    inv = ScalarInvariant()
+def _classify_invariants(expr, scale=1, spinor_traced=False):
+    """The one map of a fully contracted scalar expression onto the
+    invariant basis, each coefficient times `scale`.  A word with a
+    first-derivative-of-torsion factor (`dt`, `dT`), or with connection
+    and torsion factors together (`w` with `t`), is a covariant curl: a
+    total divergence under the volume integral."""
+    inv = ScalarInvariant(spinor_traced=spinor_traced)
     for (spow, tens, mat), c in expr.terms.items():
         if c.im != 0:
-            raise ValueError("imaginary coefficient survived the cosphere "
-                             "average")
-        val = c.re
+            raise ValueError("imaginary coefficient in a scalar invariant")
+        val = c.re * scale
+        kinds = {f[0] for f in tens}
         tsq = _t_squared_sign(tens)
         if not tens and _is_a_dot_a(mat):
             inv.add('a_dot_a', val)
@@ -323,7 +328,8 @@ def _classify_invariants(expr, p):
             inv.add('R', val)
         elif not mat and tsq is not None:
             inv.add('t2', tsq * val)
-        elif _is_boundary_word(tens, mat):
+        elif ('dt' in kinds or {'w', 't'} <= kinds
+              or any(f[0] == 'dT' for f in mat)):
             inv.add('boundary', val)
         else:
             raise ValueError(f"monomial outside the invariant basis: "
@@ -350,12 +356,6 @@ def _t_squared_sign(tens):
         return None
     perm = tuple(l1.index(x) for x in l2)
     return perm_parity(perm)
-
-
-def _is_boundary_word(tens, mat):
-    # covariant-curl words: any surviving first-derivative-of-torsion trace
-    return any(f[0] == 'dt' for f in tens) or \
-        any(f[0] in ('dT',) for f in mat)
 
 
 # ----------------------------------------------------------------------
@@ -438,10 +438,6 @@ def group_residual(torsion=True):
 # ----------------------------------------------------------------------
 # spinor traces
 
-def _pow2(p):
-    return 2 ** (p // 2)
-
-
 _EXPAND_GAMMA = {
     'T': ('t', Fraction(1, 2), 3),
     'dT': ('dt', Fraction(1, 2), 4),
@@ -501,38 +497,17 @@ def spinor_trace(expr, p):
 
 def trace_reduce(inv, p, torsion=True):
     """Spinor-trace reduction of a cosphere invariant: the (b, a.a, div a)
-    group is replaced by its traced value 2^[p/2](R/4 - 3 t^2) + boundary.
-    Result coefficients carry the spinor-trace factor flag."""
+    group is replaced by its traced value 2^[p/2](R/4 - 3 t^2) + boundary,
+    classified like any scalar with the factor bbar / 2^[p/2].  Result
+    coefficients carry the spinor-trace factor flag."""
     _check_p(p)
     lam = inv.bbar
     if inv.a_dot_a != lam / 4 or inv.div_a != -lam / 2:
         raise ValueError("invariant does not fit the traced group pattern "
                          "b + a.a/4 - div(a)/2")
     traced = spinor_trace(group_residual(torsion), p)
-    pw = _pow2(p)
-    out = ScalarInvariant(spinor_traced=True)
-    for (spow, tens, mat), c in traced.terms.items():
-        assert not mat and spow == 0
-        if c.im != 0:
-            raise ValueError("imaginary trace residue")
-        val = lam * c.re
-        kinds = {f[0] for f in tens}
-        tsq = _t_squared_sign(tens)
-        if tens == (('Rs',),):
-            out.add('R', val / pw)
-        elif tsq is not None:
-            out.add('t2', tsq * val / pw)
-        elif not tens:
-            if c.re != 0:
-                raise ValueError("scalar residue outside the basis")
-        elif 'dt' in kinds or ('w' in kinds and 't' in kinds):
-            # covariant-curl content: a total divergence under the volume
-            # integral
-            out.add('boundary', val / pw)
-        elif kinds & {'w', 'dw'}:
-            raise ValueError("connection terms survived the group trace")
-        else:
-            raise ValueError(f"unexpected traced monomial {tens}")
+    out = _classify_invariants(traced, scale=lam / 2 ** (p // 2),
+                               spinor_traced=True)
     out.add('R', inv.R)
     out.add('t2', inv.t2)
     out.add('boundary', inv.boundary)

@@ -212,6 +212,14 @@ def _no_computation(*args, **kwargs):
     ["hochschild", "--chains", "-3"],
     ["distance", "--graph", "graph.csv", "--from", "A", "--to", "z"],
     ["dixmier", "--seq", "harmonic", "--csv", "runs.csv"],
+    # int64 term counts: N + 1 must fit, and so must the CSV counts and
+    # their running total
+    ["dixmier", "--seq", "harmonic",
+     "--schedule", "10000,100000,99999999999999999999"],
+    ["dixmier", "--seq", "geometric",
+     "--schedule", "10000,100000,9223372036854775807"],
+    ["dixmier", "--csv", "huge.csv", "--schedule", "10,100,1000"],
+    ["dixmier", "--csv", "wide.csv", "--schedule", "10,100,1000"],
 ])
 def test_schedule_usage_error(capsys, monkeypatch, tmp_path, argv):
     # relative inputs resolve in a directory holding a valid graph and runs
@@ -219,6 +227,9 @@ def test_schedule_usage_error(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "graph.csv").write_text("u,v,length\nA,B,1.0\n",
                                         encoding="utf-8")
     (tmp_path / "runs.csv").write_text("1.0,2\n", encoding="utf-8")
+    (tmp_path / "huge.csv").write_text(f"1.0,{2**63}\n", encoding="utf-8")
+    (tmp_path / "wide.csv").write_text(f"1.0,{2**62}\n0.5,{2**62}\n",
+                                       encoding="utf-8")
     for module, name in ((wodzicki, "integrand"),
                          (model_triples, "volume_check"),
                          (dixmier, "dixmier_estimate"),

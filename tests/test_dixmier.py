@@ -136,7 +136,7 @@ def test_linearity_on_measurable_merge():
         values = np.concatenate([hv, gv])
         counts = np.concatenate([hc, gc])
         order = np.argsort(-values, kind='stable')
-        return values[order], counts[order]
+        yield values[order], counts[order]
     m = dx.SingularValueSeq(merged, name="merged")
     sched = [10**4, 10**5, 10**6]
     em = dx.dixmier_estimate(m, sched)
@@ -177,7 +177,7 @@ def test_pinfty_and_p1_norms():
     def power_seq(expo):
         def fn(n):
             ks = np.arange(1, n + 1, dtype=np.float64)
-            return ks ** expo, np.ones(n, dtype=np.int64)
+            yield ks ** expo, np.ones(n, dtype=np.int64)
         return dx.SingularValueSeq(fn, name=f"n^{expo}")
 
     s = power_seq(-0.5)
@@ -210,6 +210,32 @@ def test_p1_norm_does_not_depend_on_chunk_size(monkeypatch, name):
     assert [dx.p1_norm(seq, p, 5000).hex() for p in (1.5, 2, 3)] == default
 
 
+@pytest.mark.parametrize("name", sorted(dx.BUILTINS))
+def test_p1_norm_is_a_left_to_right_float_loop(name):
+    """p1_norm equals the plain loop total += k^(1/p - 1) mu_k over
+    k = 1..N bit for bit: the weighted terms are added one by one, in
+    order, onto one running total."""
+    n = 5000
+    values, counts = dx.BUILTINS[name]().runs(n + 1)
+    mu = np.repeat(values, counts)[:n + 1].tolist()
+    for p in (1.5, 2, 3):
+        total = 0.0
+        for k in range(1, n + 1):
+            total += k ** (1.0 / p - 1.0) * mu[k]
+        assert dx.p1_norm(dx.BUILTINS[name](), p, n).hex() == total.hex()
+
+
+def test_p1_norm_inputs():
+    """N = 0 sums no term; p = 1 weights every term by 1; below p = 1 the
+    weights would increase, and the functional is not defined."""
+    h = dx.harmonic()
+    assert dx.p1_norm(h, 2, 0) == 0.0
+    assert dx.p1_norm(h, 1, 3) == 1 / 2 + 1 / 3 + 1 / 4
+    for p in (0.999, 0.5, 0, -2, math.nan):
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            dx.p1_norm(h, p, 100)
+
+
 def test_measurability():
     assert dx.is_measurable(dx.harmonic(), 0.05)
     assert dx.is_measurable(dx.geometric(), 0.05)
@@ -226,8 +252,9 @@ def test_oscillator_really_oscillates():
 
 
 def test_sequence_validation():
-    bad = dx.SingularValueSeq(
-        lambda n: (np.array([1.0, 2.0]), np.array([1, 1])), name="bad")
+    def chunks(n):
+        yield np.array([1.0, 2.0]), np.array([1, 1])
+    bad = dx.SingularValueSeq(chunks, name="bad")
     with pytest.raises(ValueError):
         bad.runs(2)
 
@@ -266,9 +293,9 @@ PREFIX = [2.0] + [0.3] * 17 + [1 / 20, 1 / 40, 1 / 450]
 
 def _chunked_sequences():
     torus = mt.torus_power_sequence(mt.TorusSpec(), 2.0, max_terms=2000)
-    hand = dx.SingularValueSeq(
-        lambda n: (1.0 / np.arange(1, n + 1), np.ones(n, dtype=np.int64)),
-        name="hand-built")
+    def hand_chunks(n):
+        yield 1.0 / np.arange(1, n + 1), np.ones(n, dtype=np.int64)
+    hand = dx.SingularValueSeq(hand_chunks, name="hand-built")
     return {
         **{name: mk() for name, mk in dx.BUILTINS.items()},
         "circle": mt.circle_singular_values(mt.CircleSpec()),

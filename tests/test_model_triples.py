@@ -75,18 +75,24 @@ def test_torus_first_run():
     assert c[0] == 8  # four norm-1 lattice vectors times two spin states
 
 
+def lattice_count_inside(spec, radius):
+    """Direct count of lattice points with 0 < |lambda| <= radius."""
+    lam = np.sqrt(mt.torus_eigenvalue_grid(spec, radius + 1e-9))
+    return int(np.count_nonzero((lam > 0) & (lam <= radius + 1e-12)))
+
+
 def test_torus_count_oracle():
     spec = mt.TorusSpec()
     for radius in (3.0, 5.0, 7.5):
         direct = sum(
             1 for a in range(-10, 11) for b in range(-10, 11)
             if 0 < a * a + b * b <= radius * radius + 1e-9)
-        assert mt.lattice_count_inside(spec, radius) == direct
+        assert lattice_count_inside(spec, radius) == direct
     # run sequence is non-increasing and counts match shells
     seq = mt.torus_singular_values(spec, max_terms=2000)
     v, c = seq.runs(500)
     assert np.all(np.diff(v) < 0)
-    inside = mt.lattice_count_inside(spec, 4.0)
+    inside = lattice_count_inside(spec, 4.0)
     enumerated = int(np.sum(c[v >= 1 / 4.0 - 1e-12]) // 2)
     assert enumerated == inside
 

@@ -1,8 +1,10 @@
 """Repository hygiene: nothing the ignore rules exclude is tracked, and
-the benchmark's worker still finds what it uses of spectre."""
+the benchmark's worker still finds and can call what it uses of
+spectre."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import shutil
 import subprocess
@@ -43,3 +45,22 @@ def test_benchmark_targets_resolve():
             owner = getattr(owner, part)
         assert callable(owner), target
     assert importlib.import_module("spectre._kernels").IMPL
+
+
+def test_benchmark_direct_calls_bind():
+    """perfbench/workloads.py calls these directly, with these argument
+    shapes; a removed or renamed parameter must fail here, not only in the
+    benchmark."""
+    from spectre import dixmier, model_triples as mt, univdiff
+    calls = {
+        mt.volume_check: (("circle",),
+                          {"schedule": [10, 100, 1000], "spin_offset": 0.5}),
+        mt.TorusSpec: ((), {"p": 2, "radii": (1.0, 1.37)}),
+        mt.torus_singular_values: (("spec",), {"max_terms": 10}),
+        dixmier.SingularValueSeq.runs: (("seq", 10), {}),
+        univdiff.junk_basis: (("model", 2), {}),
+        univdiff.in_junk_span: (("matrix", "junk", "model"), {}),
+        univdiff.omega1_form: (("model", 1, 2), {}),
+    }
+    for fn, (args, kwargs) in calls.items():
+        inspect.signature(fn).bind(*args, **kwargs)
