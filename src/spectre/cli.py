@@ -256,6 +256,9 @@ def _fmt_factors(factors):
 # ----------------------------------------------------------------------
 
 def build_parser():
+    from .dixmier import default_schedule
+    schedule = ",".join(map(str, default_schedule()))
+
     ap = argparse.ArgumentParser(
         prog="spectre",
         description="numeric and symbolic checks for commutative "
@@ -272,12 +275,12 @@ def build_parser():
     dp = sub.add_parser("dixmier", help="trace estimate of a sequence")
     dp.add_argument("--seq")
     dp.add_argument("--csv")
-    dp.add_argument("--schedule", default="10000,100000,1000000,10000000")
+    dp.add_argument("--schedule", default=schedule)
 
     vp = sub.add_parser("volume", help="trace-versus-volume check")
     vp.add_argument("--model", choices=("circle", "torus"), required=True)
     vp.add_argument("--p", type=int)
-    vp.add_argument("--schedule", default="10000,100000,1000000,10000000")
+    vp.add_argument("--schedule", default=schedule)
 
     gp = sub.add_parser("distance", help="spectral distance on a graph")
     gp.add_argument("--graph", required=True)

@@ -234,14 +234,37 @@ def partial_ratio(seq, n):
 
 def pinfty_norm(seq, p, n):
     """Partial sup of the (p, infinity) functional up to N (sup over
-    N >= 1)."""
+    N >= 1): the largest partial_sum(seq, k) / k^(1 - 1/p), k = 1..N.
+    Each ratio is the one `partial_sums` gives; they are formed half a
+    chunk at a time, since the kernel holds several arrays per checkpoint,
+    and folded into a running maximum."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     if n < 1:
         raise ValueError("N >= 1")
-    ns = np.arange(1, n + 1)
-    sums = partial_sums(seq, ns)
-    return float(np.max(sums / ns ** (1.0 - 1.0 / p)))
+    best = -math.inf
+    carry = (0, 0.0)
+    step = CHUNK_RUNS // 2
+    for values, counts in seq.chunks(n + 1):
+        end = carry[0] + int(counts.sum())
+        # the k whose k + 1 terms end inside this chunk; the chunk's end
+        # is one more checkpoint, and its sum is the next carry
+        stop = min(end, n + 1)
+        for lo in range(max(carry[0], 1), stop, step) or [stop]:
+            hi = min(lo + step, stop)
+            wanted = np.arange(lo + 1, hi + 2, dtype=np.int64)
+            wanted[-1] = end
+            sums = partial_sums_at(values, counts, wanted, carry)
+            total = sums[-1]
+            if hi > lo:
+                ratios = np.arange(lo, hi, dtype=np.float64)
+                np.power(ratios, 1.0 - 1.0 / p, out=ratios)
+                np.divide(sums[:-1], ratios, out=ratios)
+                best = max(best, float(ratios.max()))
+        carry = (end, total)
+    if carry[0] < n + 1:
+        raise ValueError("checkpoint beyond enumerated terms")
+    return best
 
 
 def p1_norm(seq, p, n):

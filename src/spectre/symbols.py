@@ -353,7 +353,13 @@ class SymbolExpr:
         if c is None:
             return
         spow, tens, mat, coeff = c
-        key = (spow, tens, mat)
+        self._put((spow, tens, mat), coeff)
+
+    def _put(self, key, coeff):
+        """Add coeff at a key that is already canonical, such as a key of
+        another expression's terms.  A canonical key is a fixed point of
+        the canonicalizer, with sign +1, so it is not canonicalized
+        again."""
         cur = self.terms.get(key)
         new = coeff if cur is None else cur + coeff
         if new:
@@ -364,8 +370,8 @@ class SymbolExpr:
     # -- ring ops ------------------------------------------------------
     def __add__(self, other):
         out = SymbolExpr(self.terms)
-        for (spow, tens, mat), c in other.terms.items():
-            out._accum(spow, tens, mat, c)
+        for key, c in other.terms.items():
+            out._put(key, c)
         return out
 
     def __sub__(self, other):
@@ -376,8 +382,8 @@ class SymbolExpr:
         out = SymbolExpr()
         if not coeff:
             return out
-        for (spow, tens, mat), c in self.terms.items():
-            out._accum(spow, tens, mat, c * coeff)
+        for key, c in self.terms.items():
+            out._put(key, c * coeff)
         return out
 
     def __neg__(self):
@@ -389,9 +395,9 @@ class SymbolExpr:
         them."""
         out = SymbolExpr()
         for (sp1, t1, m1), c1 in self.terms.items():
-            k = max(0, -min(_labels(t1 + m1), default=0))
+            k = _dummy_depth(t1 + m1)
             for (sp2, t2, m2), c2 in other.terms.items():
-                if _xdeg_t(t1) + _xdeg_t(t2) > 2:
+                if _xdeg_t(t1) + _xdeg_t(t2) > X_JET_ORDER:
                     continue
                 out._accum(sp1 + sp2, t1 + _shift_dummies(t2, k),
                            m1 + _shift_dummies(m2, k), c1 * c2)
@@ -410,10 +416,9 @@ class SymbolExpr:
     def xi_degree_parts(self):
         """Map xi-homogeneity degree -> sub-expression (x factors count 0)."""
         parts = {}
-        for (spow, tens, mat), c in self.terms.items():
-            deg = 2 * spow + sum(1 for f in tens if f[0] == 'xi')
-            e = parts.setdefault(deg, SymbolExpr())
-            e._accum(spow, tens, mat, c)
+        for key, c in self.terms.items():
+            e = parts.setdefault(_xi_grade(key), SymbolExpr())
+            e._put(key, c)
         return parts
 
     def grade(self, deg):
@@ -426,9 +431,9 @@ class SymbolExpr:
     def at_base(self):
         """Drop every monomial carrying an x factor."""
         out = SymbolExpr()
-        for (spow, tens, mat), c in self.terms.items():
-            if _xdeg_t(tens) == 0:
-                out._accum(spow, tens, mat, c)
+        for key, c in self.terms.items():
+            if _xdeg_t(key[1]) == 0:
+                out._put(key, c)
         return out
 
     def mod_norm(self):
@@ -491,6 +496,11 @@ def _top_label(factors):
     return max(0, max(_labels(factors), default=0))
 
 
+def _dummy_depth(factors):
+    """k for canonical dummies -1..-k, 0 if there is none."""
+    return max(0, -min(_labels(factors), default=0))
+
+
 def _shift_dummies(factors, k):
     return tuple((f[0],) + tuple(i - k if i < 0 else i for i in f[1:])
                  for f in factors)
@@ -511,6 +521,12 @@ def relabel_free(tens, mat):
 
 def _xdeg_t(tens):
     return sum(1 for f in tens if f[0] == 'x')
+
+
+def _xi_grade(key):
+    """xi-homogeneity degree of a monomial key: 2 spow + #xi."""
+    spow, tens, _ = key
+    return 2 * spow + sum(1 for f in tens if f[0] == 'xi')
 
 
 def _gq(c):
@@ -537,6 +553,17 @@ def compose(P, Q, cutoff, drop=None):
 
     `drop(key)` may mark monomials as irrelevant (pruned from the inputs
     and from every intermediate sum).
+
+    Only monomials that can contribute are canonicalized.  A term of P
+    whose next xi-derivative falls below `cutoff` against the top grade
+    of Q is not differentiated.  Each product pair is filtered on its raw
+    key: it is discarded when its x count exceeds the jet order, its
+    xi-grade falls below `cutoff`, or `drop` marks it.  That is exact
+    because canonicalization keeps the x count and the xi-grade, and the
+    kind and count of every factor but two: an xi pair becomes a norm
+    power and a contracted delta is absorbed.  So `drop` may read only
+    the kinds and counts of the other factors, never labels or the order
+    of the commuting factors.
     """
     cutoff = Fraction(cutoff)
     if drop is not None:
@@ -565,18 +592,32 @@ def compose(P, Q, cutoff, drop=None):
             raise JetExhausted(
                 f"composition needs {k} x-derivatives; jets stored to "
                 f"order {X_JET_ORDER}")
-        term = (Pk * Qk).scale(pref * GQ(Fraction(1, fact)))
-        for key, c in term.terms.items():
-            spow, tens, mat = key
-            deg = 2 * spow + sum(1 for f in tens if f[0] == 'xi')
-            if deg < cutoff:
-                continue
-            if drop is not None and drop(key):
-                continue
-            out._accum(spow, tens, mat, c)
+        # the terms of Pk * Qk, scaled by (-i)^k/k!, each pair formed as
+        # in __mul__ and filtered before it is canonicalized
+        right = [(_xdeg_t(key[1]), _xi_grade(key), key, c)
+                 for key, c in Qk.terms.items()]
+        scalar = pref * GQ(Fraction(1, fact))
+        for key1, c1 in Pk.terms.items():
+            sp1, t1, m1 = key1
+            x1 = _xdeg_t(t1)
+            g1 = _xi_grade(key1)
+            shift = _dummy_depth(t1 + m1)
+            c1 = c1 * scalar
+            for x2, g2, (sp2, t2, m2), c2 in right:
+                if x1 + x2 > X_JET_ORDER or g1 + g2 < cutoff:
+                    continue
+                raw = (sp1 + sp2, t1 + _shift_dummies(t2, shift),
+                       m1 + _shift_dummies(m2, shift))
+                if drop is not None and drop(raw):
+                    continue
+                out._accum(*raw, c1 * c2)
         k += 1
         fact *= k
         pref = pref * GQ(0, -1)
+        # each xi-derivative lowers a grade by one, and Qk's grade stays
+        # at most q_max: a term whose derivative cannot reach the cutoff
+        # adds nothing to this or any later term
+        Pk = _pruned(Pk, lambda key: _xi_grade(key) - 1 + q_max < cutoff)
         Pk = Pk.diff_xi(base + k)
         Qk = Qk.diff_x(base + k)
         if drop is not None:

@@ -150,6 +150,7 @@ def _xixi_R_xixi(spow):
 # ----------------------------------------------------------------------
 # absolute-value symbols (odd dimensions)
 
+@functools.cache
 def abs_symbol():
     """(sigma_1 jet, sigma_0 jet, sigma_{-1} at base) of the absolute
     value, solved order by order from |D| o |D| = D^2."""

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from spectre import clifford, dixmier, model_triples, univdiff, wodzicki
-from spectre.cli import main
+from spectre.cli import build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
@@ -240,6 +240,20 @@ def test_schedule_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", [["dixmier", "--seq", "harmonic"],
+                                  ["volume", "--model", "circle"]])
+def test_schedule_default_is_the_library_default(monkeypatch, argv):
+    """Both --schedule defaults are dixmier.default_schedule(), and follow
+    it."""
+    def parse():
+        return build_parser().parse_args(argv).schedule
+
+    assert parse() == ",".join(map(str, dixmier.default_schedule()))
+    assert parse() == "10000,100000,1000000,10000000"
+    monkeypatch.setattr(dixmier, "default_schedule", lambda: [10, 20, 30])
+    assert parse() == "10,20,30"
+
+
 def test_wres_computes_the_integrand_once(capsys, monkeypatch):
     from spectre import wodzicki
     calls = []
@@ -304,6 +318,7 @@ def test_wres_sweep_in_one_process_matches_goldens(capsys):
     the golden outputs."""
     wodzicki.power_symbol.cache_clear()
     wodzicki._inverse_square_full.cache_clear()
+    wodzicki.abs_symbol.cache_clear()
     assert run(capsys, ["wres", "--p", "12"])[0] == 0
     for p in (6, 5, 4, 3):
         rc, out = run(capsys, ["wres", "--p", str(p)])

@@ -264,7 +264,7 @@ def wres_sweep():
     one process, and the cache counters after it."""
     real = symbols._canon_cached
     for cache in (real, wodzicki.power_symbol,
-                  wodzicki._inverse_square_full):
+                  wodzicki._inverse_square_full, wodzicki.abs_symbol):
         cache.cache_clear()
     keys = {}
 
@@ -286,7 +286,7 @@ def test_wres_sweep_cache_counters(wres_sweep):
     """The counts perfbench reports as symbols.canon_*: the search is
     all inside the cached function, and every key reaches it."""
     keys, info = wres_sweep
-    assert (info.misses, info.hits) == (4112, 13253)
+    assert (info.misses, info.hits) == (498, 5269)
     assert len(keys) == info.misses
 
 
@@ -378,3 +378,168 @@ def test_wres_sweep_uses_only_documented_kinds(wres_sweep):
     keys, _ = wres_sweep
     seen = {f[0] for _, tens, _ in keys for f in tens}
     assert seen <= _docstring_tensor_kinds()
+
+
+# ----------------------------------------------------------------------
+# each monomial is canonicalized once
+
+def _canonical(key):
+    """The canonical key of a monomial, or None when it cancels against
+    itself or holds a traced delta."""
+    try:
+        res = symbols._canon_cached.__wrapped__(*key)
+    except ValueError:
+        return None
+    return None if res is None else res[:3]
+
+
+def _filter_quantities(key):
+    """What compose reads of a product before canonicalizing it: the x
+    count, the xi-grade and its `drop` (the curvature budget)."""
+    return (symbols._xdeg_t(key[1]), symbols._xi_grade(key),
+            wodzicki._curvature_budget(key))
+
+
+def _assert_canonicalized_once(key):
+    """A canonical key is its own representative, with sign +1, which
+    SymbolExpr._put relies on; and it keeps the quantities compose's
+    filters read of the raw key."""
+    canonical = _canonical(key)
+    if canonical is not None:
+        assert symbols._canon_cached.__wrapped__(*canonical) == \
+            canonical + (1,)
+        assert _filter_quantities(key) == _filter_quantities(canonical)
+
+
+def test_canonical_keys_are_fixed_points_on_wres_sweep(wres_sweep):
+    keys, _ = wres_sweep
+    for key in keys:
+        _assert_canonicalized_once(key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials())
+def test_canonical_keys_are_fixed_points_on_random_monomials(key):
+    _assert_canonicalized_once(key)
+
+
+def compose_reference(P, Q, cutoff, drop=None):
+    """`compose` as it was before it filtered product pairs ahead of
+    canonicalization: each k-th term is the canonical product Pk * Qk,
+    scaled by (-i)^k/k!, then filtered by cutoff and `drop`."""
+    cutoff = Fraction(cutoff)
+    if drop is not None:
+        P = symbols._pruned(P, drop)
+        Q = symbols._pruned(Q, drop)
+    out = SymbolExpr()
+    p_max = P.max_grade()
+    q_max = Q.max_grade()
+    if p_max is None or q_max is None:
+        return out
+    q_has_x = any(f[0] == 'x' for (_, tens, _m) in Q.terms for f in tens)
+    base = max((symbols._top_label(tens + mat) for expr in (P, Q)
+                for (_, tens, mat) in expr.terms), default=0)
+    k = 0
+    Pk = P
+    Qk = Q
+    pref = ONE
+    fact = 1
+    while True:
+        if p_max - k + q_max < cutoff:
+            break
+        if k > symbols.X_JET_ORDER:
+            if Pk.is_zero() or not q_has_x:
+                break
+            raise JetExhausted("jets exhausted")
+        term = (Pk * Qk).scale(pref * GQ(Fraction(1, fact)))
+        for key, c in term.terms.items():
+            spow, tens, mat = key
+            deg = 2 * spow + sum(1 for f in tens if f[0] == 'xi')
+            if deg < cutoff:
+                continue
+            if drop is not None and drop(key):
+                continue
+            out._accum(spow, tens, mat, c)
+        k += 1
+        fact *= k
+        pref = pref * GQ(0, -1)
+        Pk = Pk.diff_xi(base + k)
+        Qk = Qk.diff_x(base + k)
+        if drop is not None:
+            Pk = symbols._pruned(Pk, drop)
+            Qk = symbols._pruned(Qk, drop)
+        if Pk.is_zero():
+            break
+    return out
+
+
+def _engine_compositions():
+    """(name, P, Q, cutoff) of every composition the residue computation
+    makes, all with the curvature budget as `drop`: the three steps of
+    the inverse square, the power chain up to the (-10)-th power, the
+    two of |D|, and the odd-p integrands p = 3..11."""
+    w = wodzicki
+    P0 = sigma2_pow(-1)
+    one = SymbolExpr.const(ONE)
+    r = compose(w.symbol_D2(), P0, cutoff=-2, drop=w._curvature_budget)
+    u = one - r + compose(r, r, cutoff=-2, drop=w._curvature_budget)
+    out = [("sD2*P0", w.symbol_D2(), P0, -2), ("r*r", r, r, -2),
+           ("P0*u", P0, u, -4)]
+    out += [(f"power{m}", w.power_symbol(m - 1), w._inverse_square_full(),
+             -2 * m - 2) for m in range(2, 6)]
+    s1, s0, sm1 = w.abs_symbol()
+    out += [("s1*s1", s1, s1, 0), ("known*known", s1 + s0, s1 + s0, 0)]
+    out += [(f"odd{p}", s1 + s0 + sm1, w.power_symbol((p - 1) // 2), -p)
+            for p in range(3, 12, 2)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_run():
+    """For every composition of the residue computation, whether compose
+    and compose_reference give the same terms; and every key the
+    reference canonicalizes, which is every product the engine formed
+    before it filtered them."""
+    drop = wodzicki._curvature_budget
+    real = symbols._canon_cached
+    keys = {}
+
+    def spy(spow, tens, mat):
+        keys[spow, tens, mat] = None
+        return real(spow, tens, mat)
+
+    same = {}
+    for name, P, Q, cut in _engine_compositions():
+        symbols._canon_cached = spy
+        try:
+            ref = compose_reference(P, Q, cut, drop)
+        finally:
+            symbols._canon_cached = real
+        same[name] = compose(P, Q, cut, drop).terms == ref.terms
+    return same, list(keys)
+
+
+def test_compose_matches_reference_on_engine_compositions(reference_run):
+    """Filtering product pairs before canonicalizing them gives the terms
+    of canonicalizing every product, scaling, then filtering."""
+    same, _ = reference_run
+    assert [name for name, ok in same.items() if not ok] == []
+
+
+def test_canon_matches_brute_force_on_reference_products(reference_run):
+    """The products compose no longer canonicalizes stay under the
+    brute-force oracle."""
+    _, keys = reference_run
+    assert len(keys) > 3000
+    bad = [k for k in keys
+           if _outcome(symbols._canon_cached, k)
+           != _outcome(canon_brute_force, k)]
+    assert bad == []
+
+
+def test_compose_matches_reference_without_drop():
+    P = wodzicki.symbol_D2()
+    Q = wodzicki._inverse_square_full()
+    for cut in (-1, -2, -3):
+        assert compose(P, Q, cut).terms == \
+            compose_reference(P, Q, cut).terms
