@@ -9,6 +9,7 @@ floating point arithmetic on them is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,12 +182,15 @@ def real_structure_candidates(p):
     omega = chirality(gs) if p % 2 == 0 else None
     found = []
     for idx, m in _gamma_monomials(gs):
-        for sgn in (1, -1):
-            ok = all(
-                np.array_equal(m @ g.conj(), sgn * (g @ m))
-                for g in gs.gammas)
-            if not ok:
-                continue
+        # the signs s with m conj(g) = s g m for every generator so far;
+        # each product is formed once, for both signs
+        signs = (1, -1)
+        for g in gs.gammas:
+            lhs, rhs = m @ g.conj(), g @ m
+            signs = tuple(s for s in signs if np.array_equal(lhs, s * rhs))
+            if not signs:
+                break
+        for sgn in signs:
             eps = _scalar_of(m @ m.conj())
             if eps is None or eps not in (1, -1):
                 continue
@@ -243,39 +247,64 @@ def _check_real_structure(rs, p):
 
 def gamma_word_trace(word, p):
     """Symbolic spinor trace of a gamma word (sequence of index labels;
-    a repeated label is a contraction) with the -2 delta anticommutator:
-    a delta polynomial times 2^[p/2].  Odd-length words are traceless.
-    Deltas are contracted here, where p is known; only deltas of two
-    distinct free labels are kept."""
+    a repeated label is a contraction) with the -2 delta anticommutator,
+    in dimension p: `word_trace_poly(word)` evaluated at p."""
     if not 1 <= p <= MAX_DIM:
         raise ValueError(f"dimension {p} outside supported range "
                          f"1..{MAX_DIM}")
+    return trace_poly_at(word_trace_poly(tuple(word)), p)
+
+
+@functools.cache
+def word_trace_poly(word):
+    """The trace of a gamma word as a polynomial in the dimension p: a
+    tuple (c_0, c_1, ...) of p-free delta polynomials with trace
+    2^[p/2] * sum_k c_k p^k.  p enters only through the spinor dimension
+    2^[p/2] and a factor p for each self-contraction g^a g_a, so a word
+    is traced once for every p.  Odd-length words are traceless (the
+    empty tuple).  Only deltas of two distinct free labels are kept."""
     if len(word) > 8:
         raise ValueError("gamma words longer than 8 are not supported")
+    if any(word.count(l) > 2 for l in word):
+        raise ValueError("labels must appear once or twice")
+    if len(word) % 2 == 1:
+        return ()
+    if not word:
+        return (SymbolExpr.const(ONE),)
+    a = word[0]
+    out = ()
+    for j in range(1, len(word)):
+        # (-1)^j with 1-based j for positions 2..n, times the -delta
+        # from the anticommutator
+        sign = ONE if j % 2 == 0 else GQ(-1)
+        b, rest = word[j], word[1:j] + word[j + 1:]
+        if a == b:
+            term = (SymbolExpr(),) + word_trace_poly(rest)
+        elif a in rest or b in rest:
+            old, new = (a, b) if a in rest else (b, a)
+            term = word_trace_poly(tuple(new if l == old else l
+                                         for l in rest))
+        else:
+            dl = SymbolExpr.mono(tens=(('dl', a, b),))
+            term = tuple(dl * c for c in word_trace_poly(rest))
+        out = add_trace_polys(out, tuple(c.scale(sign) for c in term))
+    return out
 
-    def rec(lbls):
-        if len(lbls) % 2 == 1:
-            return SymbolExpr()
-        if not lbls:
-            return SymbolExpr.const(GQ(2 ** (p // 2)))
-        a = lbls[0]
-        out = SymbolExpr()
-        for j in range(1, len(lbls)):
-            # (-1)^j with 1-based j for positions 2..n, times the -delta
-            # from the anticommutator, contracted here where p is known
-            sign = ONE if j % 2 == 0 else GQ(-1)
-            b, rest = lbls[j], lbls[1:j] + lbls[j + 1:]
-            if a == b:
-                term = rec(rest).scale(GQ(p))
-            elif a in rest or b in rest:
-                old, new = (a, b) if a in rest else (b, a)
-                term = rec(tuple(new if l == old else l for l in rest))
-            else:
-                term = SymbolExpr.mono(tens=(('dl', a, b),)) * rec(rest)
-            out = out + term.scale(sign)
-        return out
 
-    return rec(tuple(word))
+def add_trace_polys(u, v):
+    """Coefficient-wise sum of two trace polynomials."""
+    zero = SymbolExpr()
+    return tuple((u[k] if k < len(u) else zero) +
+                 (v[k] if k < len(v) else zero)
+                 for k in range(max(len(u), len(v))))
+
+
+def trace_poly_at(poly, p):
+    """2^[p/2] * sum_k c_k p^k for a trace polynomial (c_0, c_1, ...)."""
+    out = SymbolExpr()
+    for k, c in enumerate(poly):
+        out = out + c.scale(GQ(2 ** (p // 2) * p ** k))
+    return out
 
 
 def numeric_word_trace(word, p):

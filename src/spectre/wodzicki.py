@@ -7,7 +7,9 @@ Gaussian-rational coefficients.
 
 The symbols are dimension-free, so each is built once per process for
 every p (cached expressions are never mutated).  The dimension p enters at
-`cosphere_integrate`, `spinor_trace` and `trace_reduce`.
+`cosphere_integrate`, `spinor_trace` and `trace_reduce`; spinor traces
+are polynomials in p (`spinor_trace_poly`), so the traced group of
+`trace_reduce` is also built once per process and only evaluated per p.
 
 Grading note: a symbol's order counts xi-degree only; explicit x factors
 are jet bookkeeping and count zero.  Every jet is stored to second order
@@ -21,7 +23,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clifford import gamma_word_trace
+from .clifford import add_trace_polys, trace_poly_at, word_trace_poly
 from .rationals import GQ, I, ONE
 from .symbols import (JetExhausted, SymbolExpr, _pruned, compose,
                       perm_parity, relabel_free, sigma2_pow)
@@ -452,6 +454,13 @@ def spinor_trace(expr, p):
     torsion and gamma factors; divides out nothing (the 2^[p/2] factor is
     carried in the result)."""
     _check_p(p)
+    return trace_poly_at(spinor_trace_poly(expr), p)
+
+
+def spinor_trace_poly(expr):
+    """The spinor trace as a polynomial in p (see
+    `clifford.word_trace_poly`): the matrix factors are expanded into
+    gamma words once, and each word is traced once, for every p."""
     # expand matrix factors into gamma bilinears
     total = SymbolExpr()
     for (spow, tens, mat), c in expr.terms.items():
@@ -483,17 +492,24 @@ def spinor_trace(expr, p):
             term = term * rep
         total = total + term
     # trace pure gamma words
-    out = SymbolExpr()
+    out = ()
     for (spow, tens, mat), c in total.terms.items():
         tens, mat = relabel_free(tens, mat)
         labels = []
         for f in mat:
             assert f[0] == 'g'
             labels.append(f[1])
-        tr = gamma_word_trace(labels, p)
         pre = SymbolExpr.mono(coeff=c, spow=spow, tens=tens)
-        out = out + pre * tr
+        out = add_trace_polys(out, tuple(
+            pre * tr for tr in word_trace_poly(tuple(labels))))
     return out
+
+
+@functools.cache
+def _group_trace_poly(torsion):
+    """spinor_trace_poly of the (b, a.a, div a) group, built once per
+    process."""
+    return spinor_trace_poly(group_residual(torsion))
 
 
 def trace_reduce(inv, p, torsion=True):
@@ -506,7 +522,7 @@ def trace_reduce(inv, p, torsion=True):
     if inv.a_dot_a != lam / 4 or inv.div_a != -lam / 2:
         raise ValueError("invariant does not fit the traced group pattern "
                          "b + a.a/4 - div(a)/2")
-    traced = spinor_trace(group_residual(torsion), p)
+    traced = trace_poly_at(_group_trace_poly(torsion), p)
     out = _classify_invariants(traced, scale=lam / 2 ** (p // 2),
                                spinor_traced=True)
     out.add('R', inv.R)

@@ -313,12 +313,14 @@ def test_volume_circle_matches_golden_output(capsys):
 
 
 def test_wres_sweep_in_one_process_matches_goldens(capsys):
-    """The power chain is built once per process and serves every p; a
-    sweep that builds it for p = 12 and then descends leaks no state into
-    the golden outputs."""
+    """The power chain and the traced group are built once per process
+    and serve every p; a sweep that builds them for p = 12 and then
+    descends leaks no state into the golden outputs."""
     wodzicki.power_symbol.cache_clear()
     wodzicki._inverse_square_full.cache_clear()
     wodzicki.abs_symbol.cache_clear()
+    wodzicki._group_trace_poly.cache_clear()
+    clifford.word_trace_poly.cache_clear()
     assert run(capsys, ["wres", "--p", "12"])[0] == 0
     for p in (6, 5, 4, 3):
         rc, out = run(capsys, ["wres", "--p", str(p)])

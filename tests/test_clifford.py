@@ -1,5 +1,6 @@
 """Gamma sets, chirality, real structures and symbolic traces."""
 
+import functools
 import os
 import pathlib
 import random
@@ -8,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectre import clifford as cl
-from spectre.rationals import GQ
+from spectre.rationals import GQ, ONE
+from spectre.symbols import SymbolExpr
 
 
 def test_dimension_one():
@@ -107,6 +110,23 @@ def test_real_structure_constraints_hold():
             assert np.allclose(rs.C @ ga.conj(), rs.eps_prime * ga @ rs.C)
 
 
+def test_real_structure_candidates_match_the_direct_search():
+    """The candidates, in order: gamma monomials in construction order,
+    sign +1 before -1, each sign checked against every generator."""
+    for p in range(1, 9):
+        gs = cl.build_gammas(cl.Signature(p, 0))
+        monomials = cl._gamma_monomials(gs)
+        want = [(m, sgn) for _, m in monomials for sgn in (1, -1)
+                if all(np.array_equal(m @ g.conj(), sgn * (g @ m))
+                       for g in gs.gammas)
+                and cl._scalar_of(m @ m.conj()) in (1, -1)]
+        got = cl.real_structure_candidates(p)
+        assert len(got) == len(want), p
+        for (C, _, sgn, _), (m, s) in zip(got, want):
+            assert sgn == s
+            assert np.array_equal(C, cl._normalize_phase(m))
+
+
 def test_real_structure_out_of_range():
     with pytest.raises(ValueError):
         cl.find_real_structure(9)
@@ -149,6 +169,115 @@ def test_word_length_guard():
     for p in (0, 13):
         with pytest.raises(ValueError):
             cl.gamma_word_trace((1, 1), p)
+
+
+@pytest.mark.parametrize("word", [(1, 1, 1, 2), (1, 1, 1, 1), (3, 1, 3, 3),
+                                  (1, 2, 1, 2, 1, 2)])
+def test_word_trace_rejects_a_label_used_three_times(word):
+    """A label is free or contracted once: a third use has no meaning, and
+    the numeric oracle rejects such words too."""
+    for p in (2, 4):
+        with pytest.raises(ValueError, match="once or twice"):
+            cl.gamma_word_trace(word, p)
+
+
+def gamma_word_trace_reference(word, p):
+    """The gamma-word trace as a recursion at a fixed p, the factor p of a
+    self-contraction applied on the spot: the oracle for the
+    p-polynomial of `clifford.word_trace_poly`."""
+    if not 1 <= p <= cl.MAX_DIM:
+        raise ValueError(f"dimension {p} outside supported range "
+                         f"1..{cl.MAX_DIM}")
+    if len(word) > 8:
+        raise ValueError("gamma words longer than 8 are not supported")
+    return _reference_rec(tuple(word), p)
+
+
+@functools.cache
+def _reference_rec(lbls, p):
+    # memoized on (word, p) only to keep the exhaustive sweep fast; a
+    # cached expression is never mutated
+    if len(lbls) % 2 == 1:
+        return SymbolExpr()
+    if not lbls:
+        return SymbolExpr.const(GQ(2 ** (p // 2)))
+    a = lbls[0]
+    out = SymbolExpr()
+    for j in range(1, len(lbls)):
+        sign = ONE if j % 2 == 0 else GQ(-1)
+        b, rest = lbls[j], lbls[1:j] + lbls[j + 1:]
+        if a == b:
+            term = _reference_rec(rest, p).scale(GQ(p))
+        elif a in rest or b in rest:
+            old, new = (a, b) if a in rest else (b, a)
+            term = _reference_rec(tuple(new if l == old else l
+                                        for l in rest), p)
+        else:
+            term = SymbolExpr.mono(tens=(('dl', a, b),)) * \
+                _reference_rec(rest, p)
+        out = out + term.scale(sign)
+    return out
+
+
+def _words_up_to_renaming(max_len=8, n_labels=4):
+    """Every word of length <= max_len over at most n_labels labels, each
+    used once or twice, with labels 1, 2, ... in order of first
+    appearance."""
+    out = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (l,) for w in frontier
+                    for l in range(1, min(max(w, default=0) + 1,
+                                          n_labels) + 1)
+                    if w.count(l) < 2]
+        out += frontier
+    return out
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_word_trace_matches_reference_on_small_words(order):
+    """Every word of length <= 8 over <= 4 labels, free labels in both
+    orders, for p = 1..12."""
+    words = _words_up_to_renaming()
+    # by length; length 8 over four labels is every perfect matching, 7!!
+    assert [sum(len(w) == n for w in words) for n in range(9)] == \
+        [1, 1, 2, 4, 10, 25, 60, 105, 105]
+    for word in words:
+        if order == "descending":
+            word = tuple(5 - l for l in word)
+        for p in range(1, 13):
+            assert cl.gamma_word_trace(word, p).terms == \
+                gamma_word_trace_reference(word, p).terms, (word, p)
+
+
+@st.composite
+def gamma_words(draw):
+    """Words of length <= 8 over arbitrary labels, each used once or
+    twice."""
+    labels = draw(st.lists(st.integers(0, 2000), unique=True, max_size=8))
+    twice = draw(st.lists(st.booleans(), min_size=len(labels),
+                          max_size=len(labels)))
+    word = [l for l, t in zip(labels, twice) for _ in range(1 + t)][:8]
+    return tuple(draw(st.permutations(word)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma_words())
+def test_word_trace_matches_reference_on_random_words(word):
+    for p in range(1, 13):
+        assert cl.gamma_word_trace(word, p).terms == \
+            gamma_word_trace_reference(word, p).terms, p
+
+
+def test_word_trace_poly_is_built_once_for_every_p():
+    """The polynomial is p-free: the trace at every p reads the one cached
+    entry of the word."""
+    word = (1, 2, 3, 1, 2, 3)
+    cl.gamma_word_trace(word, 4)
+    misses = cl.word_trace_poly.cache_info().misses
+    for p in range(1, 13):
+        cl.gamma_word_trace(word, p)
+    assert cl.word_trace_poly.cache_info().misses == misses
 
 
 def test_clifford_does_not_import_the_symbol_engine():

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from spectre.rationals import GQ, I, ONE
-from spectre.symbols import SymbolExpr, compose, fresh_label, sigma2_pow
-from spectre import symbols
+from spectre.symbols import (SymbolExpr, compose, fresh_label, relabel_free,
+                             sigma2_pow)
+from spectre import clifford, symbols
 from spectre import wodzicki as w
+from test_clifford import gamma_word_trace_reference
 
 
 def fl():
@@ -344,6 +346,88 @@ def test_trace_reduce_group_post():
         tr0 = w.spinor_trace(w.group_residual(torsion=False), p)
         assert all(tens == (('Rs',),) for (s_, tens, m_), c in
                    tr0.terms.items())
+
+
+def spinor_trace_reference(expr, p):
+    """The spinor trace at a fixed p: the matrix factors expanded and each
+    gamma word traced by the fixed-p recursion, for one p at a time.  The
+    oracle for the p-polynomial of `wodzicki.spinor_trace_poly`."""
+    w._check_p(p)
+    total = SymbolExpr()
+    for (spow, tens, mat), c in expr.terms.items():
+        tens, mat = relabel_free(tens, mat)
+        pieces = [SymbolExpr.mono(coeff=c, spow=spow, tens=tens)]
+        for f in mat:
+            kind = f[0]
+            if kind == 'g':
+                rep = SymbolExpr.mono(mat=(f,))
+            elif kind == 'g2':
+                m, n = f[1], f[2]
+                rep = SymbolExpr.mono(mat=(('g', m), ('g', n))) + \
+                    SymbolExpr.mono(tens=(('dl', m, n),))
+            elif kind in w._EXPAND_GAMMA:
+                tname, pref, arity = w._EXPAND_GAMMA[kind]
+                tfac = (tname,) + f[1:2] + (-1, -2) + f[2:]
+                rep = SymbolExpr.mono(coeff=GQ(pref), tens=(tfac,),
+                                      mat=(('g', -1), ('g', -2)))
+            elif kind == 'b':
+                raise ValueError("expand b before tracing")
+            else:
+                raise ValueError(f"cannot trace factor {f}")
+            pieces.append(rep)
+        term = pieces[0]
+        for rep in pieces[1:]:
+            term = term * rep
+        total = total + term
+    out = SymbolExpr()
+    for (spow, tens, mat), c in total.terms.items():
+        tens, mat = relabel_free(tens, mat)
+        labels = []
+        for f in mat:
+            assert f[0] == 'g'
+            labels.append(f[1])
+        tr = gamma_word_trace_reference(labels, p)
+        pre = SymbolExpr.mono(coeff=c, spow=spow, tens=tens)
+        out = out + pre * tr
+    return out
+
+
+def _criterion_10_expressions():
+    d, m, n = 1, 2, 3
+    tt = mono(mat=(('T', d), ('T', d)))
+    e = mono(coeff=GQ(Fraction(1, 2)), mat=(('g2', m, n), ('T', m), ('T', n)))
+    e = e + mono(coeff=GQ(Fraction(-1, 2)),
+                 mat=(('g2', m, n), ('T', n), ('T', m)))
+    return {"T.T": tt, "g2[T,T]/2": e}
+
+
+@pytest.mark.parametrize("name", ["group torsion", "group no torsion",
+                                  "T.T", "g2[T,T]/2", "g T g T"])
+def test_spinor_trace_matches_reference(name):
+    """The group and the criterion-10 expressions trace to p-free
+    polynomials apart from 2^[p/2]; g^m T g_m T carries a factor p."""
+    exprs = {"group torsion": w.group_residual(True),
+             "group no torsion": w.group_residual(False),
+             "g T g T": mono(mat=(('g', 1), ('T', 2), ('g', 1), ('T', 2))),
+             **_criterion_10_expressions()}
+    expr = exprs[name]
+    for p in range(1, 13):
+        assert w.spinor_trace(expr, p).terms == \
+            spinor_trace_reference(expr, p).terms, p
+
+
+def test_trace_reduce_reads_the_group_trace_built_once():
+    """Each p evaluates the cached polynomial; no p traces a word or
+    canonicalizes a monomial again."""
+    inv = w.cosphere_integrate(w.integrand(4), 4)
+    w.trace_reduce(inv, 3)
+    words = clifford.word_trace_poly.cache_info()
+    misses = symbols._canon_cached.cache_info().misses
+    for p in range(3, 13):
+        w.trace_reduce(inv, p)
+    assert clifford.word_trace_poly.cache_info() == words
+    assert symbols._canon_cached.cache_info().misses == misses
+    assert w._group_trace_poly.cache_info().currsize >= 1
 
 
 def test_gamma_word_trace_oracle_small():
