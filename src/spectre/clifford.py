@@ -91,8 +91,6 @@ def _euclidean_gammas(p):
 def build_gammas(sig):
     """Deterministic generators for the given signature; the last s
     generators are multiplied by i to flip their squares."""
-    if isinstance(sig, tuple):
-        sig = Signature(*sig)
     p = sig.p
     if p > MAX_DIM:
         raise ValueError(f"matrix size guard: p = {p} > {MAX_DIM}")
@@ -178,8 +176,18 @@ def real_structure_candidates(p):
     """All antilinear intertwiners C (from the gamma-monomial algebra,
     unitary, phase-normalized) with C conj(g^a) = s g^a C uniformly in a;
     yields (C, eps, eps_prime, eps_double_prime)."""
+    return _candidates(*_euclidean_set(p))
+
+
+def _euclidean_set(p):
+    """The self-checked Euclidean gamma set and, for even p, its
+    chirality."""
     gs = build_gammas(Signature(p, 0))
-    omega = chirality(gs) if p % 2 == 0 else None
+    return gs, chirality(gs) if p % 2 == 0 else None
+
+
+def _candidates(gs, omega):
+    """real_structure_candidates on a built gamma set and its chirality."""
     found = []
     for idx, m in _gamma_monomials(gs):
         # the signs s with m conj(g) = s g m for every generator so far;
@@ -220,29 +228,29 @@ def find_real_structure(p):
     if not (1 <= p <= 8):
         raise ValueError("real structures tabulated for p = 1..8")
     want = REAL_STRUCTURE_TABLE[p % 8]
-    cands = real_structure_candidates(p)
+    gs, omega = _euclidean_set(p)
+    cands = _candidates(gs, omega)
     for C, eps, eps_prime, epp in cands:
         if (eps, eps_prime) == want[:2] and (p % 2 == 1 or epp == want[2]):
             rs = RealStructure(p=p, C=C, eps=eps, eps_prime=eps_prime,
                                eps_double_prime=epp if p % 2 == 0 else None)
-            _check_real_structure(rs, p)
+            _check_real_structure(rs, gs, omega)
             return rs
     raise ValueError(
         f"no antilinear solution matches the tabulated signs for p={p}; "
         f"candidates found: {[(e, ep, e2) for _, e, ep, e2 in cands]}")
 
 
-def _check_real_structure(rs, p):
-    gs = build_gammas(Signature(p, 0))
+def _check_real_structure(rs, gs, omega):
     d = gs.dim
     eye = np.eye(d, dtype=complex)
     assert np.allclose(rs.C @ rs.C.conj(), rs.eps * eye)
     assert np.allclose(rs.C @ rs.C.conj().T, eye), "C not unitary"
     for g in gs.gammas:
         assert np.allclose(rs.C @ g.conj(), rs.eps_prime * g @ rs.C)
-    if p % 2 == 0:
-        w = chirality(gs)
-        assert np.allclose(rs.C @ w.conj(), rs.eps_double_prime * w @ rs.C)
+    if omega is not None:
+        assert np.allclose(rs.C @ omega.conj(),
+                           rs.eps_double_prime * omega @ rs.C)
 
 
 def gamma_word_trace(word, p):

@@ -2,9 +2,10 @@
 algebras, with the induced commutator representation and junk forms.
 
 Chains are exact: a degree-n chain is a rational linear combination of
-word tuples (w0, w1, ..., wn) over the model's commutative word basis,
-normal form C_n = A (x) Abar^n (a unit in any slot past the first kills
-the term).  In both models pi(a) and D are weighted shifts, and so is every
+word tuples (w0, w1, ..., wn), normal form C_n = A (x) Abar^n (a unit in
+any slot past the first kills the term).  In both models a word is an int,
+the power of one generator, so words multiply by addition and the unit
+is 0.  In both models pi(a) and D are weighted shifts, and so is every
 represented chain: a `WeightedShift` holds sum_s diag(w_s) P^s with exact
 integer or rational weights, so every window identity is checked with
 exact arithmetic and no dense matrix is formed.
@@ -78,24 +79,17 @@ class CircleModel:
     operator D = diag(0..N-1) so that commutators reproduce the continuum
     identities away from the wrap-around, i.e. on the interior window."""
 
-    def __init__(self, n=48, margin=12, power_cap=2):
+    unit = 0                    # words are ints k <-> u^k; u^j u^k = u^(j+k)
+    power_cap = 2
+
+    def __init__(self, n=48, margin=12):
         self.n = n
         self.margin = margin
-        self.power_cap = power_cap
         self.D = WeightedShift.diagonal(range(n))
         self.window = np.arange(margin, n - margin)
 
-    # word algebra: words are ints k <-> u^k
-    unit = 0
-
-    def generators(self):
-        return [1, -1]
-
     def words(self):
         return list(range(-self.power_cap, self.power_cap + 1))
-
-    def mul_words(self, w1, w2):
-        return {w1 + w2: Fraction(1)}
 
     def star_word(self, w):
         return -w
@@ -117,23 +111,18 @@ class DiagonalModel:
     """Commuting diagonal generators with D diagonal in the same basis;
     every commutator with D vanishes, so the junk space is trivial."""
 
-    def __init__(self, n=12, power_cap=3):
-        self.n = n
-        self.power_cap = power_cap
-        self.D = WeightedShift.diagonal(range(1, n + 1))
-        self.window = np.arange(n)
-        self._d = np.array([i % 3 - 1 for i in range(n)], dtype=object)
+    unit = 0                    # words are ints k <-> d^k; d^j d^k = d^(j+k)
+    power_cap = 3
+    n = 12
+    margin = 0
 
-    unit = 0
-
-    def generators(self):
-        return [1]
+    def __init__(self):
+        self.D = WeightedShift.diagonal(range(1, self.n + 1))
+        self.window = np.arange(self.n)
+        self._d = np.array([i % 3 - 1 for i in range(self.n)], dtype=object)
 
     def words(self):
         return list(range(self.power_cap + 1))
-
-    def mul_words(self, w1, w2):
-        return {w1 + w2: Fraction(1)}
 
     def star_word(self, w):
         return w
@@ -208,24 +197,31 @@ def chain(model, *word_tuples):
     return out
 
 
+def _merge(wt, k):
+    """The word tuple with its adjacent words k and k + 1 multiplied (words
+    are ints, so the product is their sum)."""
+    return wt[:k] + (wt[k] + wt[k + 1],) + wt[k + 2:]
+
+
+def _right_mul(wt, word):
+    """(a0 da1 ... dan) b in normal form, as (word tuple, sign) pairs.
+    Unrolling da b = d(ab) - a db gives sum_k (-1)^(n-k) times
+    (a0, ..., a_k a_(k+1), ..., b): the words of wt + (b,) merged at k."""
+    full = wt + (word,)
+    n = len(wt) - 1
+    return [(_merge(full, k), (-1) ** (n - k)) for k in range(n, -1, -1)]
+
+
 def hochschild_b(c):
     """Alternating-sum boundary with the cyclic last term."""
     if c.degree < 1:
         raise ValueError("no boundary in degree 0")
     out = UniversalChain(c.model, c.degree - 1)
-    m = c.model
     for wt, coeff in c.terms.items():
         n = len(wt) - 1
-        for prod, pc in m.mul_words(wt[0], wt[1]).items():
-            out.accum((prod,) + wt[2:], coeff * pc)
-        for i in range(1, n):
-            sign = (-1) ** i
-            for prod, pc in m.mul_words(wt[i], wt[i + 1]).items():
-                out.accum(wt[:i] + (prod,) + wt[i + 2:],
-                          coeff * pc * sign)
-        sign = (-1) ** n
-        for prod, pc in m.mul_words(wt[n], wt[0]).items():
-            out.accum((prod,) + wt[1:n], coeff * pc * sign)
+        for i in range(n):
+            out.accum(_merge(wt, i), coeff * (-1) ** i)
+        out.accum(_merge(wt[n:] + wt[:n], 0), coeff * (-1) ** n)
     return out
 
 
@@ -238,29 +234,6 @@ def delta(c):
     return out
 
 
-def chain_mul_right(c, word):
-    """(a0 da1 ... dan) * b in normal form, using da b = d(ab) - a db."""
-    m = c.model
-    out = UniversalChain(m, c.degree)
-    for wt, coeff in c.terms.items():
-        for piece, pc in _right_mul_term(m, wt, word):
-            out.accum(piece, coeff * pc)
-    return out
-
-
-def _right_mul_term(m, wt, word):
-    # (H d(last)) b = H d(last b) - (H last) d(b)
-    if len(wt) == 1:
-        return [((k,), pc) for k, pc in m.mul_words(wt[0], word).items()]
-    head, last = wt[:-1], wt[-1]
-    out = []
-    for prod, pc in m.mul_words(last, word).items():
-        out.append((head + (prod,), pc))
-    for piece, pc in _right_mul_term(m, head, last):
-        out.append((piece + (word,), -pc))
-    return out
-
-
 def sigma_op(c):
     """sigma(w da) = (-1)^|w| (da) w, expanded to normal form; degree-0
     chains are fixed."""
@@ -270,34 +243,24 @@ def sigma_op(c):
     out = UniversalChain(m, c.degree)
     sign = (-1) ** (c.degree - 1)
     for wt, coeff in c.terms.items():
-        head, a = wt[:-1], wt[-1]
         # (da)(a0 da1 ... ) = d(a a0) da1 ... - a d(a0) da1 ...
-        for prod, pc in m.mul_words(a, head[0]).items():
-            out.accum((m.unit, prod) + head[1:], coeff * pc * sign)
-        out.accum((a,) + head, -coeff * sign)
+        flipped = (m.unit, wt[-1]) + wt[:-1]
+        out.accum(_merge(flipped, 1), coeff * sign)
+        out.accum(flipped[1:], -coeff * sign)
     return out
 
 
 def chain_star(c):
-    """Involution with (da)* = -d(a*) and (wr)* = r* w*."""
+    """Involution with (da)* = -d(a*) and (wr)* = r* w*:
+    (a0 da1 ... dan)* = (-1)^n d(an*) ... d(a1*) a0*, one right product
+    of the term (1, an*, ..., a1*) by a0*."""
     m = c.model
-    n = c.degree
-    out = UniversalChain(m, n)
+    out = UniversalChain(m, c.degree)
+    sign = (-1) ** c.degree
     for wt, coeff in c.terms.items():
-        if n == 0:
-            out.accum((m.star_word(wt[0]),), coeff)
-            continue
-        # (a0 da1 ... dan)* = (-1)^n d(an*) ... d(a1*) a0*
-        cur = chain(m, (m.unit, m.star_word(wt[n])))
-        for j in range(n - 1, 0, -1):
-            nxt = UniversalChain(m, cur.degree + 1)
-            for wt2, c2 in cur.terms.items():
-                nxt.accum(wt2 + (m.star_word(wt[j]),), c2)
-            cur = nxt
-        cur = chain_mul_right(cur, m.star_word(wt[0]))
-        sign = Fraction(-1) ** n
-        for wt2, c2 in cur.terms.items():
-            out.accum(wt2, coeff * c2 * sign)
+        starred = (m.unit,) + tuple(m.star_word(w) for w in wt[:0:-1])
+        for piece, pc in _right_mul(starred, m.star_word(wt[0])):
+            out.accum(piece, coeff * pc * sign)
     return out
 
 
@@ -305,12 +268,11 @@ def chain_mul(c1, c2):
     """Graded product in normal form: the leading word of each right-hand
     term multiplies in through the bimodule relation, the differential
     slots concatenate."""
-    m = c1.model
-    out = UniversalChain(m, c1.degree + c2.degree)
+    out = UniversalChain(c1.model, c1.degree + c2.degree)
     for wt2, coeff2 in c2.terms.items():
-        left = chain_mul_right(c1, wt2[0])
-        for wt1, coeff1 in left.terms.items():
-            out.accum(wt1 + wt2[1:], coeff1 * coeff2)
+        for wt1, coeff1 in c1.terms.items():
+            for piece, pc in _right_mul(wt1, wt2[0]):
+                out.accum(piece + wt2[1:], coeff1 * coeff2 * pc)
     return out
 
 
@@ -338,9 +300,8 @@ def represent(c):
     WeightedShift."""
     m = c.model
     out = WeightedShift(m.n)
-    margin = getattr(m, 'margin', 0)
     for wt, coeff in c.terms.items():
-        if m.reach(wt) > margin:
+        if m.reach(wt) > m.margin:
             raise ValueError("chain reaches past the truncation margin; "
                              "enlarge the model")
         acc = m.pi(wt[0])
@@ -355,10 +316,17 @@ def represent(c):
 
 def window_part(mat, model):
     """The window block of a WeightedShift or a dense n x n array, as a
-    dense object array."""
+    dense object array; an operator of another size is a ValueError."""
     w = model.window
     if not isinstance(mat, WeightedShift):
-        return np.array(mat, dtype=object)[np.ix_(w, w)]
+        mat = np.array(mat, dtype=object)
+        if mat.shape != (model.n, model.n):
+            raise ValueError(f"operator of shape {mat.shape} on a model of "
+                             f"size {model.n}")
+        return mat[np.ix_(w, w)]
+    if mat.n != model.n:
+        raise ValueError(f"operator of size {mat.n} on a model of size "
+                         f"{model.n}")
     pos = np.full(mat.n, -1)        # column index -> place in the window
     pos[w] = np.arange(len(w))
     out = np.zeros((len(w), len(w)), dtype=object)

@@ -213,10 +213,8 @@ _BASIS = ("bbar", "a_dot_a", "div_a", "R", "t2", "boundary")
 
 @dataclass
 class ScalarInvariant:
-    """Rational combination over the invariant basis; `spinor_traced`
-    records whether coefficients carry the 2^[p/2] spinor-trace factor."""
+    """Rational combination over the invariant basis."""
     coeffs: dict = field(default_factory=dict)
-    spinor_traced: bool = False
 
     def __getattr__(self, name):
         if name in _BASIS:
@@ -234,10 +232,6 @@ class ScalarInvariant:
 
     def as_dict(self):
         return {k: self.coeffs.get(k, Fraction(0)) for k in _BASIS}
-
-    def __eq__(self, other):
-        return (self.as_dict() == other.as_dict()
-                and self.spinor_traced == other.spinor_traced)
 
 
 def cosphere_integrate(expr, p):
@@ -308,13 +302,13 @@ def _reduce_curvature_traces(expr):
     return out
 
 
-def _classify_invariants(expr, scale=1, spinor_traced=False):
+def _classify_invariants(expr, scale=1):
     """The one map of a fully contracted scalar expression onto the
     invariant basis, each coefficient times `scale`.  A word with a
     first-derivative-of-torsion factor (`dt`, `dT`), or with connection
     and torsion factors together (`w` with `t`), is a covariant curl: a
     total divergence under the volume integral."""
-    inv = ScalarInvariant(spinor_traced=spinor_traced)
+    inv = ScalarInvariant()
     for (spow, tens, mat), c in expr.terms.items():
         if c.im != 0:
             raise ValueError("imaginary coefficient in a scalar invariant")
@@ -515,16 +509,14 @@ def _group_trace_poly(torsion):
 def trace_reduce(inv, p, torsion=True):
     """Spinor-trace reduction of a cosphere invariant: the (b, a.a, div a)
     group is replaced by its traced value 2^[p/2](R/4 - 3 t^2) + boundary,
-    classified like any scalar with the factor bbar / 2^[p/2].  Result
-    coefficients carry the spinor-trace factor flag."""
+    classified like any scalar with the factor bbar / 2^[p/2]."""
     _check_p(p)
     lam = inv.bbar
     if inv.a_dot_a != lam / 4 or inv.div_a != -lam / 2:
         raise ValueError("invariant does not fit the traced group pattern "
                          "b + a.a/4 - div(a)/2")
     traced = trace_poly_at(_group_trace_poly(torsion), p)
-    out = _classify_invariants(traced, scale=lam / 2 ** (p // 2),
-                               spinor_traced=True)
+    out = _classify_invariants(traced, scale=lam / 2 ** (p // 2))
     out.add('R', inv.R)
     out.add('t2', inv.t2)
     out.add('boundary', inv.boundary)

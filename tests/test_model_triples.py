@@ -112,6 +112,27 @@ def test_torus_heat_trace_matches_volume_constant(p, t):
                                   rel=1e-12)
 
 
+@pytest.mark.parametrize("model, p", [("circle", None), ("torus", 2),
+                                      ("torus", 3), ("torus", 4)])
+def test_volume_estimate_within_its_leave_one_out_spread(model, p):
+    """At the default schedule |c0 - c(p) Vol| is at most the leave-one-out
+    spread: max - min of c0 over the refits of c0 + c1/log N with one
+    schedule point dropped.  The spread is compared as a width; the truth
+    lies outside [min, max] for the circle and for p = 2, 3."""
+    est, expected = mt.volume_check(model, p=p)
+    x = 1 / np.log(np.array(est.schedule, dtype=np.float64))
+    ratios = np.array(est.ratios)
+
+    def c0(keep):
+        a = np.vstack([np.ones(len(keep)), x[keep]]).T
+        return np.linalg.lstsq(a, ratios[keep], rcond=None)[0][0]
+
+    points = list(range(len(x)))
+    assert c0(points) == pytest.approx(est.value, rel=1e-12)
+    refits = [c0(points[:k] + points[k + 1:]) for k in points]
+    assert abs(est.value - expected) <= max(refits) - min(refits)
+
+
 def test_torus_irrational_radius_matches_lattice_enumeration():
     """Runs group exactly equal squared magnitudes, so eigenvalues of a
     torus with an irrational radius ratio stay distinct."""

@@ -61,6 +61,8 @@ def test_benchmark_direct_calls_bind():
         univdiff.junk_basis: (("model", 2), {}),
         univdiff.in_junk_span: (("matrix", "junk", "model"), {}),
         univdiff.omega1_form: (("model", 1, 2), {}),
+        univdiff.CircleModel: ((), {}),
+        univdiff.CircleModel.words: (("model",), {}),
     }
     for fn, (args, kwargs) in calls.items():
         inspect.signature(fn).bind(*args, **kwargs)

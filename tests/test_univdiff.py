@@ -261,6 +261,53 @@ def test_omega1_form_matches_dense_trace():
             assert ud.omega1_form(CIRCLE, a, b) == want
 
 
+def test_represent_is_a_star_homomorphism_on_the_full_matrix():
+    """pi(w r) = pi(w) pi(r) and pi(c*) = pi(c)^T (every weight is real)
+    on the full cyclic matrices, wrap-around included: an oracle for the
+    word algebra's product and involution that shares no code with them."""
+    rng = random.Random(11)
+    for model in (CIRCLE, DIAG):
+        for d1 in (0, 1, 2):
+            for d2 in (0, 1, 2):
+                for _ in range(6):
+                    w = ud.random_chain(model, d1, rng, nterms=2)
+                    r = ud.random_chain(model, d2, rng, nterms=2)
+                    rep_w = np.asarray(ud.represent(w))
+                    rep_r = np.asarray(ud.represent(r))
+                    assert np.array_equal(
+                        np.asarray(ud.represent(ud.chain_mul(w, r))),
+                        rep_w @ rep_r)
+                    assert np.array_equal(
+                        np.asarray(ud.represent(ud.chain_star(w))), rep_w.T)
+
+
+def test_operators_of_another_size_are_rejected():
+    """An operator that is not model.n x model.n has no window on the
+    model: a larger one must not be windowed into a junk-span answer, and
+    a smaller one must not fail with an IndexError."""
+    jb = ud.junk_basis(CIRCLE, 2)
+    big = ud.CircleModel(n=60)
+    da = ud.represent(ud.delta(ud.chain(big, (1,))))
+    db = ud.represent(ud.delta(ud.chain(big, (2,))))
+    anti = da @ db + db @ da
+    for mat in (anti, np.asarray(anti), np.eye(10, dtype=np.int64),
+                ud.WeightedShift(10)):
+        with pytest.raises(ValueError):
+            ud.in_junk_span(mat, jb, CIRCLE)
+        with pytest.raises(ValueError):
+            ud.window_equal(mat, np.asarray(CIRCLE.D), CIRCLE)
+        with pytest.raises(ValueError):
+            ud.window_equal(CIRCLE.D, mat, CIRCLE)
+        with pytest.raises(ValueError):
+            ud.window_is_zero(mat, CIRCLE)
+    # the same anticommutator on the model's own size, dense or not
+    da = ud.represent(ud.delta(ud.chain(CIRCLE, (1,))))
+    db = ud.represent(ud.delta(ud.chain(CIRCLE, (2,))))
+    anti = da @ db + db @ da
+    assert ud.in_junk_span(anti, jb, CIRCLE)
+    assert ud.in_junk_span(np.asarray(anti), jb, CIRCLE)
+
+
 def test_in_junk_span_rejects_outside_targets():
     jb = ud.junk_basis(CIRCLE, 2)
     assert not ud.in_junk_span(CIRCLE.D, jb, CIRCLE)
