@@ -46,11 +46,15 @@ def _schedule(text):
     return schedule
 
 
-def _open_input(path, option):
+def _csv_rows(path, option):
     try:
-        return open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            yield from ((reader.line_num, row) for row in reader)
     except OSError as exc:
         raise UsageError(f"{option} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{option} {path}: not UTF-8 text") from None
 
 
 def _emit(payload, fmt="json"):
@@ -124,24 +128,22 @@ def cmd_dixmier(args):
     schedule = _schedule(args.schedule)
     if args.csv is not None:
         runs, total = [], 0
-        with _open_input(args.csv, "--csv") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].startswith("#"):
-                    continue
-                where = f"{args.csv}:{reader.line_num}"
-                if len(row) < 2:
-                    raise UsageError(f"{where}: row needs value,count")
-                value = _number(row[0], float, where)
-                count = _number(row[1], int, where)
-                if not (math.isfinite(value) and value > 0 and count >= 1):
-                    raise UsageError(f"{where}: needs a finite value > 0 "
-                                     "and a count >= 1")
-                total += count
-                if total > MAX_TERMS:
-                    raise UsageError(f"{where}: counts up to this row sum "
-                                     f"to more than {MAX_TERMS}")
-                runs.append((value, count))
+        for line, row in _csv_rows(args.csv, "--csv"):
+            if not row or row[0].startswith("#"):
+                continue
+            where = f"{args.csv}:{line}"
+            if len(row) < 2:
+                raise UsageError(f"{where}: row needs value,count")
+            value = _number(row[0], float, where)
+            count = _number(row[1], int, where)
+            if not (math.isfinite(value) and value > 0 and count >= 1):
+                raise UsageError(f"{where}: needs a finite value > 0 "
+                                 "and a count >= 1")
+            total += count
+            if total > MAX_TERMS:
+                raise UsageError(f"{where}: counts up to this row sum "
+                                 f"to more than {MAX_TERMS}")
+            runs.append((value, count))
         values = np.array([v for v, _ in runs])
         counts = np.array([c for _, c in runs], dtype=np.int64)
 
@@ -195,22 +197,21 @@ def cmd_distance(args):
     from . import model_triples as mt
     verts = set()
     edges = []
-    with _open_input(args.graph, "--graph") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header] != ["u", "v", "length"]:
-            raise UsageError(f"{args.graph}: needs header u,v,length")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{args.graph}:{reader.line_num}"
-            if len(row) < 3:
-                raise UsageError(f"{where}: row needs u,v,length")
-            u, v = row[0].strip(), row[1].strip()
-            l = _number(row[2], float, where)
-            verts.add(u)
-            verts.add(v)
-            edges.append((u, v, l))
+    rows = _csv_rows(args.graph, "--graph")
+    _, header = next(rows, (0, []))
+    if [h.strip() for h in header] != ["u", "v", "length"]:
+        raise UsageError(f"{args.graph}: needs header u,v,length")
+    for line, row in rows:
+        if not row:
+            continue
+        where = f"{args.graph}:{line}"
+        if len(row) < 3:
+            raise UsageError(f"{where}: row needs u,v,length")
+        u, v = row[0].strip(), row[1].strip()
+        l = _number(row[2], float, where)
+        verts.add(u)
+        verts.add(v)
+        edges.append((u, v, l))
     try:
         g = mt.MetricGraph(sorted(verts), edges)
     except ValueError as exc:

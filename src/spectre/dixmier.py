@@ -35,7 +35,7 @@ class SingularValueSeq:
     multiplicity runs, read as a stream of (values, counts) chunks.
 
     `chunks_fn(max_terms)` yields chunks that together cover at least
-    max_terms terms; a sequence known all at once yields it as one chunk.
+    max_terms terms; a CSV of runs, known all at once, is one chunk.
     `kernel_dim` records omitted kernel modes (the inverse is taken to
     vanish on the kernel)."""
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dixmier
 from .dixmier import (SingularValueSeq, default_schedule, dixmier_estimate,
                       index_chunks)
 
@@ -100,82 +101,78 @@ def torus_eigenvalue_grid(spec, shell_radius):
     return lam2.ravel()
 
 
-def torus_shells(spec, shell_radius):
-    """The distinct squared magnitudes lambda^2 <= shell_radius^2, ascending,
-    and how many lattice vectors carry each, built one axis at a time.
+def _add_axis(keys, points, axis2, weight, lo, hi):
+    """The distinct sums key + axis term in [lo, hi), ascending, weights
+    added: `searchsorted` windows with a rounding slack, then exact tests."""
+    slack = 4 * np.finfo(np.float64).eps * hi
+    first = np.searchsorted(axis2, lo - keys - slack, side='left')
+    take = np.searchsorted(axis2, hi - keys + slack, side='right') - first
+    col = np.repeat(first - np.cumsum(take) + take, take)
+    col += np.arange(len(col))
+    sums = np.repeat(keys, take)
+    sums += axis2[col]
+    weights = np.repeat(points, take)
+    weights *= weight[col]
+    inside = (sums >= lo) & (sums < hi)
+    if not inside.all():
+        sums, weights = sums[inside], weights[inside]
+    order = np.argsort(sums)
+    sums, weights = sums[order], weights[order]
+    starts = np.flatnonzero(np.diff(sums, prepend=-np.inf))  # 0 iff equal
+    return sums[starts], np.add.reduceat(weights, starts)
 
-    Each axis contributes its half axis (k + o_j)^2 / r_j^2, k >= 0, with
-    weight 2 for the +- pair (1 for the zero value).  Every key meets the
-    next axis's terms that keep the sum inside the ball, and equal sums
-    merge.  Sums are taken in axis order as in `torus_eigenvalue_grid`,
-    so every key is the float the grid gives, for any radii and offsets;
-    partial sums never exceed full ones, so pruning them is exact."""
-    bound = shell_radius * shell_radius
-    # slack for the rounding of bound - key; the test on the sum is exact
-    slack = 4 * np.finfo(np.float64).eps * bound
-    keys = np.zeros(1)
-    points = np.ones(1, dtype=np.int64)
-    for r, o in zip(spec.radii, spec.offsets):
-        span = int(math.floor(shell_radius * r - o)) + 1
-        axis = (np.arange(span + 1, dtype=np.float64) + o) / r
-        axis2 = axis * axis
-        weight = np.where(axis2 == 0.0, 1, 2)
-        # the sorted prefix of axis terms each key may take
-        take = np.searchsorted(axis2, bound - keys + slack, side='right')
-        col = np.arange(int(take.sum()))
-        col -= np.repeat(np.cumsum(take) - take, take)
-        sums = np.repeat(keys, take)
-        sums += axis2[col]
-        weights = np.repeat(points, take)
-        weights *= weight[col]
-        del col     # peak memory is a few arrays of the candidate count
-        inside = sums <= bound
-        if not inside.all():
-            sums, weights = sums[inside], weights[inside]
-        order = np.argsort(sums)
-        sums = sums[order]
-        weights = weights[order]
-        del order
-        first = np.ones(len(sums), dtype=bool)
-        first[1:] = sums[1:] != sums[:-1]
-        starts = np.flatnonzero(first)
-        keys, points = sums[starts], np.add.reduceat(weights, starts)
+
+def _shells(axes, reach):
+    keys, points = np.zeros(1), np.ones(1, dtype=np.int64)
+    for r, o in axes:
+        # the half axis, k >= 0, past reach: weight 2 for the +- pair;
+        # partial sums never exceed full ones, so pruning them is exact
+        axis2 = ((np.arange(int(math.floor(reach * r - o)) + 2) + o) / r) ** 2
+        keys, points = _add_axis(keys, points, axis2, np.where(axis2, 2, 1),
+                                 0.0, np.nextafter(reach * reach, np.inf))
     return keys, points
 
 
-def torus_singular_values(spec, max_terms=2 * 10**7):
-    """Singular values of the inverse operator: 1/|lambda| over the dual
-    lattice with spinor multiplicity 2^[p/2], merged into decreasing
-    runs of exactly equal squared magnitudes, over a ball sized for
-    max_terms terms; asking for more terms than it holds raises."""
-    mult = 2 ** (spec.p // 2)
-    # covering-radius bound: every point of the ball of radius R - diam
-    # lies in a lattice cell whose corner is in the ball of radius R, with
-    # diam the cell's diagonal, so that ball holds at least
-    # dens vol_ball (R - diam)^p lattice points; n counts the zero mode
-    vol_ball = math.pi ** (spec.p / 2) / math.gamma(spec.p / 2 + 1)
-    dens = np.prod(spec.radii)
-    diam = math.sqrt(sum(r ** -2 for r in spec.radii))
-    n = max_terms + mult
-    shell = (n / (mult * dens * vol_ball)) ** (1.0 / spec.p) + diam
-    keys, points = torus_shells(spec, shell)
-    keep = keys > 0
-    values = 1.0 / np.sqrt(keys[keep])
-    kernel = int(points[~keep].sum()) * mult    # the dropped zero modes
-    counts = points[keep] * mult
-    total = int(counts.sum())
+def torus_shells(spec, shell_radius):
+    """The distinct lambda^2 <= shell_radius^2, ascending, with how many
+    lattice vectors carry each, summed in axis order like the grid oracle."""
+    return _shells(zip(spec.radii, spec.offsets), shell_radius)
+
+
+def torus_singular_values(spec, max_terms=None):
+    """1/|lambda| over the dual lattice, multiplicity 2^[p/2], in runs of
+    equal lambda^2 up to the one holding the last term asked for
+    (`max_terms` is not read), streamed in bands [lo, hi) of lambda^2 that
+    hold by the Weyl count CHUNK_RUNS half-lattice points (k_j >= 0) or n
+    terms.  Each band meets the last axis with the shells of the others,
+    kept out to a reach whose square doubles when a band passes it."""
+    p, mult = spec.p, 2 ** (spec.p // 2)
+    vol = math.prod(spec.radii) * math.pi ** (p / 2) / math.gamma(p / 2 + 1)
+    *inner, last = zip(spec.radii, spec.offsets)
 
     def chunks(n):
-        if n > total:
-            raise ValueError("enumerated shell exhausted; raise max_terms")
-        yield values, counts
-    return SingularValueSeq(chunks, name=f"torus(p={spec.p})",
-                            kernel_dim=kernel)
+        width = min(2 ** p * dixmier.CHUNK_RUNS, n / mult) / vol
+        lo, reach, covered = math.ulp(0.0), 0.0, 0    # above the kernel
+        while covered < n:
+            hi = (lo ** (p / 2) + width) ** (2 / p)
+            if not lo < hi < math.inf:      # radii whose product overflows
+                raise ValueError("torus radii out of float64 range")
+            if hi > reach * reach:
+                reach = max(math.sqrt(2) * reach, math.sqrt(hi))
+                keys, points = _shells(inner, reach)
+                axis2, weight = _shells([last], reach)
+            sums, weights = _add_axis(keys, points, axis2, weight, lo, hi)
+            counts = weights * mult
+            stop = int(np.searchsorted(np.cumsum(counts), n - covered)) + 1
+            yield 1.0 / np.sqrt(sums[:stop]), counts[:stop]
+            lo, covered = hi, covered + int(counts.sum())
+    return SingularValueSeq(chunks, name=f"torus(p={p})",
+                            kernel_dim=0 if any(spec.offsets) else mult)
 
 
-def torus_power_sequence(spec, power, max_terms=2 * 10**7):
+def torus_power_sequence(spec, power):
     """Singular values of the inverse operator raised to `power`."""
-    return torus_singular_values(spec, max_terms).mapped(
+    return torus_singular_values(spec).mapped(
         lambda v: v ** power, f"torus(p={spec.p})^{power}")
 
 
@@ -191,9 +188,7 @@ def volume_check(model, p=None, schedule=None, spin_offset=0.0):
     if model == "torus":
         p = p or 2
         spec = TorusSpec(p=p, radii=(1.0,) * p, offsets=(spin_offset,) * p)
-        seq = torus_power_sequence(spec, float(p),
-                                   max_terms=max(schedule) + 1)
-        est = dixmier_estimate(seq, schedule)
+        est = dixmier_estimate(torus_power_sequence(spec, float(p)), schedule)
         expected = c_p(p) * (2 * math.pi) ** p
         return est, expected
     raise ValueError(f"unknown model {model!r}")
@@ -235,10 +230,12 @@ def shortest_path_distance(graph, x, y):
             continue
         seen.add(u)
         if u == y:
+            if d == math.inf:
+                raise ValueError("shortest path length overflows float64")
             return d
         for v, l in graph.adjacency(u):
-            nd = d + l
-            if nd < dist.get(v, math.inf):
+            nd = d + l      # inf past float64's range, still reachable
+            if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     raise ValueError("vertices are not connected: the supremum is "
@@ -247,7 +244,8 @@ def shortest_path_distance(graph, x, y):
 
 def lp_distance(graph, x, y):
     """Primal program: maximize a(x) - a(y) subject to the per-edge
-    Lipschitz constraints |a(u) - a(v)| <= length."""
+    Lipschitz constraints |a(u) - a(v)| <= length, in units of a power of
+    two above the longest edge (HiGHS reads bounds from 1e20 up as inf)."""
     from scipy.optimize import linprog
     from scipy.sparse import coo_array
     idx = {v: i for i, v in enumerate(graph.vertices)}
@@ -269,7 +267,8 @@ def lp_distance(graph, x, y):
     # pin one value; the objective only sees differences
     a_eq = np.zeros((1, n))
     a_eq[0, idx[y]] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.repeat(ends[:, 2], 2),
+    e = math.frexp(np.max(ends[:, 2], initial=0.0))[1]
+    res = linprog(c, A_ub=a_ub, b_ub=np.repeat(np.ldexp(ends[:, 2], -e), 2),
                   A_eq=a_eq, b_eq=[0.0],
                   bounds=[(None, None)] * n, method="highs")
     if res.status == 3:
@@ -277,7 +276,7 @@ def lp_distance(graph, x, y):
                          "unbounded")
     if not res.success:
         raise RuntimeError(f"linear program failed: {res.message}")
-    return -res.fun
+    return math.ldexp(-res.fun, e)
 
 
 def connes_distance(graph, x, y, cross_validate=False):

@@ -77,6 +77,5 @@ def _as_gq(x):
     raise TypeError(f"cannot coerce {type(x)!r} to GQ")
 
 
-ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)

@@ -100,6 +100,30 @@ def test_distance_disconnected_exit_code(capsys, tmp_path):
         "error: vertices are not connected")
 
 
+@pytest.mark.parametrize("rows, to, distance", [
+    ("A,B,1e20\n", "B", 1e20),
+    ("A,B,1e-200\nB,C,1e200\n", "C", 1e200)])
+def test_distance_long_edges(capsys, tmp_path, rows, to, distance):
+    """HiGHS reads bounds from 1e20 up as infinite; the cross-check
+    program scales the lengths by a power of two, so a long edge is not
+    reported as unbounded."""
+    f = tmp_path / "graph.csv"
+    f.write_text("u,v,length\n" + rows, encoding="utf-8")
+    rc, out = run(capsys, ["distance", "--graph", str(f),
+                           "--from", "A", "--to", to])
+    assert rc == 0
+    assert json.loads(out)["distance"] == distance
+
+
+def test_distance_overflow_is_named(capsys, tmp_path):
+    f = tmp_path / "graph.csv"
+    f.write_text("u,v,length\nA,B,1e308\nB,C,1e308\n", encoding="utf-8")
+    rc = main(["distance", "--graph", str(f), "--from", "A", "--to", "C"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: shortest path length overflows float64\n"
+
+
 def test_distance_bad_header(capsys, tmp_path):
     f = tmp_path / "graph.csv"
     for text in ("a,b,c\nA,B,1.0\n", ""):
@@ -238,6 +262,24 @@ def test_schedule_usage_error(capsys, monkeypatch, tmp_path, argv):
                          (univdiff, "random_chain")):
         monkeypatch.setattr(module, name, _no_computation)
     assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["dixmier", "--csv", "{}", "--schedule", "10,100,1000"],
+     "# caf\xe9\n1.0,2\n"),
+    (["distance", "--graph", "{}", "--from", "A", "--to", "B"],
+     "u,v,length\nA,B,1.0\n\xe9,B,2\n")])
+def test_non_utf8_input_is_a_usage_error(capsys, monkeypatch, tmp_path,
+                                         argv, text):
+    """Rows that would parse, in a file that does not decode as UTF-8."""
+    f = tmp_path / "latin1.csv"
+    f.write_text(text, encoding="latin-1")
+    monkeypatch.setattr(dixmier, "dixmier_estimate", _no_computation)
+    monkeypatch.setattr(model_triples, "connes_distance", _no_computation)
+    argv = [arg.format(f) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: {argv[1]} {f}: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("argv", [["dixmier", "--seq", "harmonic"],

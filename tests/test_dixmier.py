@@ -324,7 +324,7 @@ PREFIX = [2.0] + [0.3] * 17 + [1 / 20, 1 / 40, 1 / 450]
 
 
 def _chunked_sequences():
-    torus = mt.torus_power_sequence(mt.TorusSpec(), 2.0, max_terms=2000)
+    torus = mt.torus_power_sequence(mt.TorusSpec(), 2.0)
     def hand_chunks(n):
         yield 1.0 / np.arange(1, n + 1), np.ones(n, dtype=np.int64)
     hand = dx.SingularValueSeq(hand_chunks, name="hand-built")

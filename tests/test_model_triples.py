@@ -50,15 +50,15 @@ def test_torus_kernel_dim_counts_dropped_zero_modes(p, zero_modes):
     # the zero vector is the only zero mode, carrying spinor multiplicity
     # 2^[p/2]; a 1/2 offset in any direction leaves no zero mode
     spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.0,) * p)
-    seq = mt.torus_singular_values(spec, max_terms=1000)
+    seq = mt.torus_singular_values(spec)
     assert seq.kernel_dim == zero_modes
-    assert mt.torus_power_sequence(spec, 2.0, 1000).kernel_dim == zero_modes
+    assert mt.torus_power_sequence(spec, 2.0).kernel_dim == zero_modes
     for k in range(p):
         offsets = tuple(0.5 if j == k else 0.0 for j in range(p))
         spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=offsets)
-        assert mt.torus_singular_values(spec, max_terms=1000).kernel_dim == 0
+        assert mt.torus_singular_values(spec).kernel_dim == 0
     spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.5,) * p)
-    assert mt.torus_singular_values(spec, max_terms=1000).kernel_dim == 0
+    assert mt.torus_singular_values(spec).kernel_dim == 0
 
 
 def test_circle_volume_estimate():
@@ -69,7 +69,7 @@ def test_circle_volume_estimate():
 
 
 def test_torus_first_run():
-    seq = mt.torus_singular_values(mt.TorusSpec(), max_terms=1000)
+    seq = mt.torus_singular_values(mt.TorusSpec())
     v, c = seq.runs(50)
     assert v[0] == pytest.approx(1.0)
     assert c[0] == 8  # four norm-1 lattice vectors times two spin states
@@ -89,7 +89,7 @@ def test_torus_count_oracle():
             if 0 < a * a + b * b <= radius * radius + 1e-9)
         assert lattice_count_inside(spec, radius) == direct
     # run sequence is non-increasing and counts match shells
-    seq = mt.torus_singular_values(spec, max_terms=2000)
+    seq = mt.torus_singular_values(spec)
     v, c = seq.runs(500)
     assert np.all(np.diff(v) < 0)
     inside = lattice_count_inside(spec, 4.0)
@@ -192,56 +192,78 @@ def test_torus_spectrum_builds_no_grid(monkeypatch):
 @pytest.mark.parametrize("offset", [0.0, 0.5])
 def test_torus_terms_match_enumeration_to_the_last(offset):
     """Every term the sequence returns is a term of the direct lattice
-    enumeration, in order, and asking for more terms than the ball holds
-    raises rather than returning lattice points from outside it."""
-    seq = mt.torus_singular_values(mt.TorusSpec(offsets=(offset,) * 2),
-                                   max_terms=1000)
-    total = int(seq.runs(1)[1].sum())
-    values, counts = seq.runs(total)
+    enumeration, in order, up to the run holding the last term asked
+    for."""
+    seq = mt.torus_singular_values(mt.TorusSpec(offsets=(offset,) * 2))
+    values, counts = seq.runs(2000)
     got = np.repeat(values, counts)
     ks = np.arange(-60, 61) + offset       # far past the shell
     lam2 = np.add.outer(ks * ks, ks * ks).ravel()   # exact quarter-integers
     lam2 = np.sort(lam2[lam2 > 0])
-    direct = np.repeat(1.0 / np.sqrt(lam2[:total // 2]), 2)
-    assert len(got) == total
+    direct = np.repeat(1.0 / np.sqrt(lam2[:len(got) // 2]), 2)
+    assert 2000 <= len(got) < 2000 + counts[-1]
     assert np.array_equal(got, direct)
-    with pytest.raises(ValueError, match="exhausted"):
-        seq.runs(total + 1)
 
 
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.5, 0.5), (1.0, 1.37),
                                    (2.0, 1.0, 0.7), (1.0,) * 4])
 @pytest.mark.parametrize("offset", [0.0, 0.5])
 def test_torus_ball_holds_max_terms(radii, offset):
-    """The covering-radius bound sizes the ball for at least max_terms
-    terms besides the zero mode."""
+    """`runs(n)` covers at least n terms besides the zero mode, and ends
+    with the run holding term n."""
     p = len(radii)
     spec = mt.TorusSpec(p=p, radii=radii, offsets=(offset,) * p)
-    for max_terms in (1, 7, 1000, 10**5):
-        seq = mt.torus_singular_values(spec, max_terms=max_terms)
-        assert seq.runs(max_terms)[1].sum() >= max_terms
+    seq = mt.torus_singular_values(spec)
+    for n in (1, 7, 1000, 10**5):
+        counts = seq.runs(n)[1]
+        assert counts[:-1].sum() < n <= counts.sum()
 
 
-def test_torus_ball_is_sized_once():
-    """Once the ball is large against a lattice cell it holds few terms
-    beyond those asked for."""
-    seq = mt.torus_singular_values(mt.TorusSpec(), max_terms=10**6)
-    assert seq.runs(1)[1].sum() < 1.05 * 10**6
+@pytest.mark.parametrize("p, radii", [(2, (1.0, 1.0)), (2, (1.0, 1.37)),
+                                      (3, (2.0, 1.0, 0.7)),
+                                      (4, (1.0, 1.37, 0.5, 0.7))])
+@pytest.mark.parametrize("offsets", ["zero", "mixed"])
+def test_torus_bands_match_shells(monkeypatch, p, radii, offsets):
+    """Bands of a few runs, so that the reach grows many times, stream
+    the runs of `torus_shells` bit for bit."""
+    offs = {"zero": (0.0,) * p,
+            "mixed": tuple(0.5 * (j % 2) for j in range(p))}[offsets]
+    spec = mt.TorusSpec(p=p, radii=radii, offsets=offs)
+    keys, points = mt.torus_shells(spec, {2: 30.0, 3: 10.0, 4: 6.0}[p])
+    keep = keys > 0
+    monkeypatch.setattr(dx, "CHUNK_RUNS", 7)
+    n = int(points[keep].sum()) * 2 ** (p // 2)
+    chunks = list(mt.torus_singular_values(spec).chunks(n))
+    assert len(chunks) > 10
+    values = np.concatenate([v for v, _ in chunks])
+    counts = np.concatenate([c for _, c in chunks])
+    assert [v.hex() for v in values] == \
+        [v.hex() for v in 1.0 / np.sqrt(keys[keep])]
+    assert np.array_equal(counts, points[keep] * 2 ** (p // 2))
 
 
-@pytest.mark.parametrize("p, bound_mb", [(2, 96), (3, 32), (4, 8)])
-def test_torus_spectrum_memory_bound(p, bound_mb):
-    """The 1.3e7-term spectra that `volume --model torus` builds hold the
-    ball's shells, not the lattice box: the grid peaked at 186, 285 and
-    346 MB for p = 2, 3 and 4."""
-    spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.0,) * p)
+def test_torus_radii_past_float64_raise():
+    """A product of radii past float64 leaves the bands no width: the
+    stream raises rather than loop."""
+    seq = mt.torus_singular_values(mt.TorusSpec(radii=(1e200, 1e200)))
+    with pytest.raises(ValueError, match="float64 range"):
+        seq.runs(10)
+
+
+def test_torus_spectrum_memory_bound():
+    """The p = 2 stream holds one band at a time, so draining it to 1e8
+    terms (a `volume --model torus` schedule top of 1e8) peaks below
+    16 MB."""
+    spec = mt.TorusSpec(p=2, radii=(1.0, 1.0), offsets=(0.0, 0.0))
+    seq = mt.torus_singular_values(spec)
     tracemalloc.start()
     try:
-        mt.torus_singular_values(spec, max_terms=int(1.3 * 10**7))
+        terms = sum(int(counts.sum()) for _, counts in seq.chunks(10**8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound_mb * 2**20
+    assert terms >= 10**8
+    assert peak < 16 * 2**20
 
 
 def test_torus_volume_estimate():
@@ -254,10 +276,8 @@ def test_torus_volume_estimate():
 def test_torus_volume_radius_scaling():
     """Doubling both radii multiplies the squared-inverse trace by 4."""
     sched = [10**4, 10**5, 10**6]
-    s1 = mt.torus_power_sequence(mt.TorusSpec(), 2.0,
-                                 max_terms=int(1.4 * 10**6))
-    s2 = mt.torus_power_sequence(
-        mt.TorusSpec(radii=(2.0, 2.0)), 2.0, max_terms=int(1.4 * 10**6))
+    s1 = mt.torus_power_sequence(mt.TorusSpec(), 2.0)
+    s2 = mt.torus_power_sequence(mt.TorusSpec(radii=(2.0, 2.0)), 2.0)
     e1 = dx.dixmier_estimate(s1, sched)
     e2 = dx.dixmier_estimate(s2, sched)
     assert abs(e2.value / e1.value - 4) < 0.02
@@ -267,9 +287,7 @@ def test_spin_structure_invariance_of_volume():
     sched = [10**4, 10**5, 10**6]
     vals = []
     for off in (0.0, 0.5):
-        seq = mt.torus_power_sequence(
-            mt.TorusSpec(offsets=(off, off)), 2.0,
-            max_terms=int(1.4 * 10**6))
+        seq = mt.torus_power_sequence(mt.TorusSpec(offsets=(off, off)), 2.0)
         vals.append(dx.dixmier_estimate(seq, sched))
     assert abs(vals[0].value - vals[1].value) < \
         vals[0].error_bar + vals[1].error_bar + 0.02
