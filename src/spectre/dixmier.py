@@ -11,7 +11,8 @@ makes exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -213,13 +214,9 @@ def partial_sums(seq, ns):
     out = np.empty(len(ns))
     done, carry = 0, (0, 0.0)
     for values, counts in seq.chunks(int(ns.max()) + 1):
-        end = carry[0] + int(counts.sum())
-        upto = int(np.searchsorted(wanted, end, side='right'))
-        # the chunk's end is one more checkpoint: its sum is the next carry
-        sums = partial_sums_at(values, counts,
-                               np.append(wanted[done:upto], end), carry)
-        out[order[done:upto]] = sums[:-1]
-        done, carry = upto, (end, sums[-1])
+        sums, carry = partial_sums_at(values, counts, wanted[done:], carry)
+        out[order[done:done + len(sums)]] = sums
+        done += len(sums)
     if done < len(wanted):
         raise ValueError("checkpoint beyond enumerated terms")
     return out
@@ -238,31 +235,26 @@ def pinfty_norm(seq, p, n):
     Each ratio is the one `partial_sums` gives; they are formed half a
     chunk at a time, since the kernel holds several arrays per checkpoint,
     and folded into a running maximum."""
-    if p <= 1:
+    if not p > 1:
         raise ValueError("p must exceed 1")
     if n < 1:
         raise ValueError("N >= 1")
     best = -math.inf
-    carry = (0, 0.0)
+    k, carry = 1, (0, 0.0)          # the next k to answer
     step = CHUNK_RUNS // 2
     for values, counts in seq.chunks(n + 1):
-        end = carry[0] + int(counts.sum())
-        # the k whose k + 1 terms end inside this chunk; the chunk's end
-        # is one more checkpoint, and its sum is the next carry
-        stop = min(end, n + 1)
-        for lo in range(max(carry[0], 1), stop, step) or [stop]:
-            hi = min(lo + step, stop)
-            wanted = np.arange(lo + 1, hi + 2, dtype=np.int64)
-            wanted[-1] = end
-            sums = partial_sums_at(values, counts, wanted, carry)
-            total = sums[-1]
-            if hi > lo:
-                ratios = np.arange(lo, hi, dtype=np.float64)
-                np.power(ratios, 1.0 - 1.0 / p, out=ratios)
-                np.divide(sums[:-1], ratios, out=ratios)
-                best = max(best, float(ratios.max()))
-        carry = (end, total)
-    if carry[0] < n + 1:
+        start = carry
+        while k <= n:
+            wanted = np.arange(k + 1, min(k + step, n) + 2, dtype=np.int64)
+            sums, carry = partial_sums_at(values, counts, wanted, start)
+            ratios = np.arange(k, k + len(sums), dtype=np.float64)
+            np.power(ratios, 1.0 - 1.0 / p, out=ratios)
+            np.divide(sums, ratios, out=ratios)
+            best = max(best, float(ratios.max(initial=-math.inf)))
+            k += len(sums)
+            if k >= carry[0]:       # term k + 1 lies past this chunk
+                break
+    if k <= n:
         raise ValueError("checkpoint beyond enumerated terms")
     return best
 
@@ -297,8 +289,8 @@ class TraceEstimate:
     value: float
     error_bar: float
     schedule: list
-    model: str = "c0 + c1/log N"
-    ratios: list = field(default_factory=list)
+    ratios: list
+    model: ClassVar[str] = "c0 + c1/log N"
 
     def as_dict(self):
         return {"value": self.value, "error_bar": self.error_bar,
@@ -314,6 +306,8 @@ def dixmier_estimate(seq, schedule):
         raise ValueError("schedule needs at least 3 points")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must increase")
+    if schedule[0] < 2:
+        raise ValueError("the logarithmic ratio needs N >= 2")
     sums = partial_sums(seq, np.array(schedule))
     logs = np.log(np.array(schedule, dtype=np.float64))
     ratios = sums / logs
@@ -334,7 +328,7 @@ def default_schedule():
 def is_measurable(seq, tol):
     """Estimates over two interleaved dyadic schedules, 2^10..2^18 and
     2^10.5..2^18.5, agree within tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     sched_a = [2 ** k for k in range(10, 20, 2)]
     sched_b = [int(2 ** (k + 0.5)) for k in range(10, 20, 2)]

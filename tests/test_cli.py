@@ -208,6 +208,37 @@ def test_dixmier_bad_csv_row_usage_error(capsys, tmp_path, row):
                                 "--schedule", "10,100,1000"])
 
 
+@pytest.mark.parametrize("rows, schedule", [
+    (["1e308,1000000"], "10,100,1000"),
+    (["1e308,1"] * 13, "2,3,10"),
+])
+def test_dixmier_overflowing_sum_is_one_error_line(capsys, tmp_path, rows,
+                                                   schedule):
+    """A partial sum past the float64 range is a check failure that names
+    the overflow, with no numpy warning and no NaN."""
+    f = tmp_path / "runs.csv"
+    f.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc = main(["dixmier", "--csv", str(f), "--schedule", schedule])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: partial sum overflows float64\n"
+    assert "RuntimeWarning" not in err and "nan" not in err
+
+
+def test_dixmier_sum_overflowing_past_the_schedule_is_answered(capsys,
+                                                               tmp_path):
+    """Only the sums at the schedule must fit in float64: the terms after
+    the last checkpoint may overflow the running total unread."""
+    f = tmp_path / "runs.csv"
+    f.write_text("1e307,20\n", encoding="utf-8")
+    rc, out = run(capsys, ["dixmier", "--csv", str(f),
+                           "--schedule", "2,3,10"])
+    assert rc == 0 and capsys.readouterr().err == ""
+    payload = json.loads(out)
+    validate(payload, "dixmier")
+    assert math.isfinite(payload["value"])
+
+
 def _no_computation(*args, **kwargs):
     raise AssertionError("a usage error must be caught before computing")
 

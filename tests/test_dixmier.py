@@ -5,6 +5,7 @@ Frozen oracle values below were produced by direct compensated summation
 they check.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ def test_kernel_implementations_agree():
     counts = rng.integers(1, 7, size=500)
     total = counts.sum()
     ns = np.unique(rng.integers(1, total + 1, size=40))
-    a = partial_sums_at(values, counts, ns)
+    a, _ = partial_sums_at(values, counts, ns)
     # whole-array reference: every term written out, then summed
     b = np.cumsum(np.repeat(values, counts))[ns - 1]
     assert np.allclose(a, b, rtol=0, atol=1e-9)
@@ -59,24 +60,49 @@ def test_kernel_matches_loop_reference_across_carries():
     ends = np.cumsum(counts)
     ns = np.arange(1, ends[-1] + 1)
     expect = [x.hex() for x in _loop_partial_sums_at(values, counts, ns)]
-    assert [float(x).hex() for x in
-            partial_sums_at(values, counts, ns)] == expect
-    # the same runs in four chunks, each carrying the terms and the sum
-    # of the chunks before it
+    whole, whole_carry = partial_sums_at(values, counts, ns)
+    assert [float(x).hex() for x in whole] == expect
+    # the same runs in four chunks: each answers the checkpoints it holds
+    # and carries the terms and the sum of everything up to its end
     got, carry = [], (0, 0.0)
     for lo, hi in ((0, 1), (1, 77), (77, 78), (78, 300)):
-        end = int(ends[hi - 1])
-        part = ns[(ns > carry[0]) & (ns <= end)]
-        sums = partial_sums_at(values[lo:hi], counts[lo:hi],
-                               np.append(part, end), carry)
-        got += [float(x).hex() for x in sums[:-1]]
-        carry = (end, sums[-1])
+        sums, carry = partial_sums_at(values[lo:hi], counts[lo:hi],
+                                      ns[len(got):], carry)
+        assert carry[0] == ends[hi - 1]
+        got += [float(x).hex() for x in sums]
     assert got == expect
+    assert carry == whole_carry
+    assert carry[1].hex() == float(whole[-1]).hex()
 
 
-def test_kernel_checkpoint_guard():
-    with pytest.raises(ValueError):
-        partial_sums_at(np.array([1.0]), np.array([3]), np.array([4]))
+def test_kernel_leaves_checkpoints_past_the_chunk_unanswered():
+    """Only the leading checkpoints inside the chunk are answered; the
+    carry is the chunk's end whatever was asked."""
+    values, counts = np.array([2.0, 1.0]), np.array([2, 3])
+    for ns, expect in (([1, 5, 6, 9], [2.0, 7.0]), ([6, 7], []), ([], [])):
+        sums, carry = partial_sums_at(values, counts, ns)
+        assert sums.tolist() == expect
+        assert carry == (5, 7.0)
+    sums, carry = partial_sums_at(values, counts, [11, 15, 16], (10, 0.5))
+    assert sums.tolist() == [2.5, 7.5] and carry == (15, 7.5)
+
+
+def _three_terms(n):
+    yield np.array([3.0, 1.0]), np.array([1, 2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda seq: dx.partial_sums(seq, [1, 3]),
+    lambda seq: dx.pinfty_norm(seq, 2, 3),
+    lambda seq: dx.p1_norm(seq, 2, 3),
+], ids=["partial_sums", "pinfty_norm", "p1_norm"])
+def test_checkpoint_beyond_enumerated_terms_raises(call):
+    """A sequence that ends before the last checkpoint is an error at the
+    caller, never a sum over the terms that exist."""
+    seq = dx.SingularValueSeq(_three_terms, name="three-terms")
+    with pytest.raises(ValueError,
+                       match="checkpoint beyond enumerated terms"):
+        call(seq)
 
 
 def test_harmonic_partial_sums_match_fsum_oracle():
@@ -122,6 +148,27 @@ def test_schedule_validation():
         dx.dixmier_estimate(dx.harmonic(), [100, 50, 200])
     with pytest.raises(ValueError):
         dx.dixmier_estimate(dx.harmonic(), [100, 200])
+
+
+@pytest.mark.parametrize("schedule", [[1, 10, 100], [0, 10, 100]])
+def test_schedule_below_two_is_rejected_before_any_sum(schedule):
+    """log N vanishes at N = 1 and is undefined below it; the schedule is
+    refused before a single term is summed."""
+    def chunks(n):
+        raise AssertionError("summed a term")
+        yield
+    seq = dx.SingularValueSeq(chunks, name="unsummed")
+    with pytest.raises(ValueError, match="N >= 2"):
+        dx.dixmier_estimate(seq, schedule)
+
+
+def test_trace_estimate_model_is_a_constant():
+    """Four settable values; the model is the class's, and `as_dict`
+    still reports it."""
+    fields = [f.name for f in dataclasses.fields(dx.TraceEstimate)]
+    assert fields == ["value", "error_bar", "schedule", "ratios"]
+    est = dx.dixmier_estimate(dx.harmonic(), [10, 100, 1000])
+    assert est.as_dict()["model"] == "c0 + c1/log N"
 
 
 def test_linearity_on_measurable_merge():
@@ -200,6 +247,11 @@ def test_pinfty_and_p1_norms():
         dx.pinfty_norm(s, 1.0, 100)
 
 
+def test_pinfty_norm_rejects_nan_p():
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        dx.pinfty_norm(dx.harmonic(), math.nan, 10)
+
+
 def _pinfty_all_at_once(seq, p, n):
     """The (p, infinity) partial sup from every checkpoint 1..N at once."""
     ns = np.arange(1, n + 1)
@@ -274,6 +326,11 @@ def test_measurability():
     assert not dx.is_measurable(dx.block_oscillator(), 0.05)
     with pytest.raises(ValueError):
         dx.is_measurable(dx.harmonic(), 0.0)
+
+
+def test_measurability_rejects_nan_tol():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        dx.is_measurable(dx.harmonic(), math.nan)
 
 
 def test_oscillator_really_oscillates():
@@ -351,7 +408,8 @@ def test_chunk_boundaries_keep_partial_sums_bit_identical(monkeypatch,
     ns = np.array(terms) - 1
     streamed = dx.partial_sums(seq, ns)
     values, counts = seq.runs(int(ns.max()) + 1)
-    assert _hex(streamed) == _hex(partial_sums_at(values, counts, ns + 1))
+    assert _hex(streamed) == \
+        _hex(partial_sums_at(values, counts, ns + 1)[0])
 
 
 @pytest.mark.parametrize("chunk_runs", [5, 7, 4000])
