@@ -226,7 +226,10 @@ def partial_ratio(seq, n):
     """(1/log N) sum_{k=0..N} mu_k."""
     if n < 2:
         raise ValueError("the logarithmic ratio needs N >= 2")
-    return partial_sum(seq, n) / math.log(n)
+    ratio = partial_sum(seq, n) / math.log(n)
+    if not math.isfinite(ratio):
+        raise ValueError("partial ratio overflows float64")
+    return ratio
 
 
 def pinfty_norm(seq, p, n):
@@ -310,7 +313,10 @@ def dixmier_estimate(seq, schedule):
         raise ValueError("the logarithmic ratio needs N >= 2")
     sums = partial_sums(seq, np.array(schedule))
     logs = np.log(np.array(schedule, dtype=np.float64))
-    ratios = sums / logs
+    with np.errstate(over='ignore'):
+        ratios = sums / logs
+    if not np.isfinite(ratios).all():
+        raise ValueError("partial ratio overflows float64")
     x = 1.0 / logs
     A = np.vstack([np.ones_like(x), x]).T
     coef, *_ = np.linalg.lstsq(A, ratios, rcond=None)

@@ -201,7 +201,7 @@ def volume_check(model, p=None, schedule=None, spin_offset=0.0):
 class MetricGraph:
     vertices: list
     edges: list          # (u, v, length)
-    _adj: dict = field(default_factory=dict, repr=False)
+    _adj: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._adj = {v: [] for v in self.vertices}

@@ -13,7 +13,6 @@ exact arithmetic and no dense matrix is formed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -348,99 +347,87 @@ def window_is_zero(mat, model):
 # ----------------------------------------------------------------------
 # junk forms
 
-def _window_vector(mat, model):
-    return [Fraction(x) for x in window_part(mat, model).flatten().tolist()]
+def _sparse_row(window):
+    """A window block as a sparse row {flat index: Fraction}, nonzeros only."""
+    flat = window.ravel()
+    return {k: Fraction(flat[k]) for k in np.flatnonzero(flat).tolist()}
+
+
+def _subtract(row, f, other):
+    """row -= f * other in place, dropping the entries that cancel."""
+    for c, x in other.items():
+        v = row.get(c, 0) - f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def _rref(rows):
-    """Reduced row echelon over the rationals; returns (basis rows, rank)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
+    """Reduced row echelon form over the rationals of sparse rows, built
+    one row at a time; returns the nonzero rows in pivot order.  A new row
+    is reduced by the rows so far (each is zero on the others' pivots, so
+    one pass suffices), scaled to 1 on its leading column, then cleared
+    from the rows so far."""
+    basis = {}                      # pivot column -> row
+    for row in rows:
+        row = dict(row)
+        for p in [c for c in row if c in basis]:
+            _subtract(row, row[p], basis[p])
+        if not row:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def _nullspace(rows):
-    """Rational nullspace basis of the row matrix."""
-    if not rows:
-        return []
-    basis, pivots = _rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in zip(basis, pivots):
-            v[pc] = -r[fc]
-        out.append(v)
-    return out
+        p = min(row)
+        inv = 1 / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in basis.values():
+            if p in other:
+                _subtract(other, other[p], row)
+        basis[p] = row
+    return [basis[p] for p in sorted(basis)]
 
 
 @dataclass
 class JunkBasis:
-    degree: int
     matrices: list
-
-
-def degree_monomials(model, degree):
-    words = model.words()
-    nonunit = [w for w in words if w != model.unit]
-    return [wt for wt in itertools.product(words, *([nonunit] * degree))]
 
 
 def junk_basis(model, degree=2):
     """Junk in the given degree: represent d(ker pi) for the kernel of pi
-    in degree-1 forms, computed by exact linear algebra on the window."""
+    in degree-1 forms, computed by exact linear algebra on the window.
+    Each monomial's window row carries the tag column top + k past the
+    window's columns; the reduced rows with no window part left are the
+    pi-kernel chains, their tags the monomials' coefficients."""
     if degree != 2:
         raise ValueError("junk computed in degree 2")
-    monos = degree_monomials(model, 1)
-    cols = []
-    for wt in monos:
-        c = chain(model, wt)
-        cols.append(_window_vector(represent(c), model))
-    kernel = _nullspace([list(row) for row in zip(*cols)]) if cols else []
-    # kernel vectors combine the monomials into pi-kernel chains
-    junk_rows = []
-    for v in kernel:
-        ker_chain = UniversalChain(model, 1)
-        for coef, wt in zip(v, monos):
-            ker_chain.accum(wt, coef)
-        img = represent(delta(ker_chain))
-        if not window_is_zero(img, model):
-            junk_rows.append(_window_vector(img, model))
-    basis_rows, _ = _rref(junk_rows)
+    words = model.words()
+    monos = [(a, b) for a in words for b in words if b != model.unit]
     side = len(model.window)
-    mats = [np.array(row, dtype=object).reshape(side, side)
-            for row in basis_rows]
-    return JunkBasis(degree=degree, matrices=mats)
+    top = side * side
+    rows = [{**_sparse_row(window_part(represent(chain(model, wt)), model)),
+             top + k: Fraction(1)} for k, wt in enumerate(monos)]
+    junk_rows = []
+    for row in _rref(rows):
+        if min(row) >= top:
+            ker_chain = UniversalChain(model, 1)
+            for col, coef in row.items():
+                ker_chain.accum(monos[col - top], coef)
+            img = represent(delta(ker_chain))
+            junk_rows.append(_sparse_row(window_part(img, model)))
+    mats = []
+    for row in _rref(junk_rows):
+        mat = np.full(top, Fraction(0), dtype=object)
+        mat[list(row)] = list(row.values())
+        mats.append(mat.reshape(side, side))
+    return JunkBasis(matrices=mats)
 
 
 def in_junk_span(mat, jb, model):
     """Exact membership of the window part in the junk span.  The basis
     rows are already independent, so the target lies in their span exactly
     when adding it leaves the rank at len(jb.matrices)."""
-    rows = [[Fraction(x) for x in m.flatten().tolist()] for m in jb.matrices]
-    _, pivots = _rref(rows + [_window_vector(mat, model)])
-    return len(pivots) == len(jb.matrices)
+    rows = [_sparse_row(m) for m in jb.matrices]
+    target = _sparse_row(window_part(mat, model))
+    return len(_rref(rows + [target])) == len(rows)
 
 
 def omega1_form(model, a_word, b_word):

@@ -225,6 +225,19 @@ def test_dixmier_overflowing_sum_is_one_error_line(capsys, tmp_path, rows,
     assert "RuntimeWarning" not in err and "nan" not in err
 
 
+def test_dixmier_overflowing_ratio_is_one_error_line(capsys, tmp_path):
+    """A partial sum that fits float64 but whose ratio to log N does not
+    is a check failure that names the overflow, with no numpy warning and
+    no NaN."""
+    f = tmp_path / "runs.csv"
+    f.write_text("5e307,3\n1,5\n", encoding="utf-8")
+    rc = main(["dixmier", "--csv", str(f), "--schedule", "2,3,4"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: partial ratio overflows float64\n"
+    assert "RuntimeWarning" not in err and "nan" not in err
+
+
 def test_dixmier_sum_overflowing_past_the_schedule_is_answered(capsys,
                                                                tmp_path):
     """Only the sums at the schedule must fit in float64: the terms after

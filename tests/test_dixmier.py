@@ -133,6 +133,21 @@ def test_partial_ratio_needs_two_terms():
         dx.partial_ratio(dx.harmonic(), 1)
 
 
+def _ratio_past_float64(n):
+    yield np.array([5e307, 1.0]), np.array([3, 5])
+
+
+def test_partial_ratio_overflow_is_named():
+    """The sum to N = 2 (1.5e308) fits float64; its ratio to log 2 does
+    not, and is an error, not inf."""
+    seq = dx.SingularValueSeq(_ratio_past_float64, name="ratio-past-float64")
+    assert math.isfinite(dx.partial_sum(seq, 2))
+    with pytest.raises(ValueError, match="partial ratio overflows float64"):
+        dx.partial_ratio(seq, 2)
+    with pytest.raises(ValueError, match="partial ratio overflows float64"):
+        dx.dixmier_estimate(seq, [2, 3, 4])
+
+
 def test_estimates_with_error_bars():
     sched = [10**4, 10**5, 10**6, 10**7]
     est = dx.dixmier_estimate(dx.harmonic(), sched)

@@ -373,6 +373,15 @@ def test_distance_metric_axioms_randomized():
                     assert d[i][j] <= d[i][k] + d[k][j] + 1e-12
 
 
+def test_graph_adjacency_is_not_an_argument():
+    """The adjacency is built from the edges; it cannot be passed in."""
+    with pytest.raises(TypeError):
+        mt.MetricGraph([0, 1], [(0, 1, 1.0)], {0: [], 1: []})
+    g = mt.MetricGraph([0, 1], [(0, 1, 1.0)])
+    assert g.adjacency(0) == [(1, 1.0)]
+    assert "_adj" not in repr(g)
+
+
 def test_graph_validation():
     for length in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):

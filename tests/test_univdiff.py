@@ -327,3 +327,146 @@ def test_margin_guard_holds_at_zero_margin():
         ud.represent(ud.chain(small, (0, 1)))
     assert ud.window_equal(ud.represent(ud.chain(small, (small.unit,))),
                            np.eye(8, dtype=np.int64), small)
+
+
+# ----------------------------------------------------------------------
+# junk oracle: dense Fraction rows of every window entry, the kernel of
+# pi by a separate nullspace step, then a dense reduction of the junk rows
+
+def _dense_rref(rows):
+    """Reduced row echelon over the rationals; returns (basis rows,
+    pivot columns)."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def _dense_nullspace(rows):
+    """Rational nullspace basis of the row matrix."""
+    if not rows:
+        return []
+    basis, pivots = _dense_rref(rows)
+    ncols = len(rows[0])
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in zip(basis, pivots):
+            v[pc] = -r[fc]
+        out.append(v)
+    return out
+
+
+def _window_vector(mat, model):
+    return [Fraction(x) for x in ud.window_part(mat, model).flatten().tolist()]
+
+
+def junk_basis_dense(model):
+    """The degree-2 junk matrices by dense elimination: the reference for
+    `junk_basis`."""
+    words = model.words()
+    monos = [(a, b) for a in words for b in words if b != model.unit]
+    cols = [_window_vector(ud.represent(ud.chain(model, wt)), model)
+            for wt in monos]
+    kernel = _dense_nullspace([list(row) for row in zip(*cols)])
+    junk_rows = []
+    for v in kernel:
+        ker_chain = ud.UniversalChain(model, 1)
+        for coef, wt in zip(v, monos):
+            ker_chain.accum(wt, coef)
+        img = ud.represent(ud.delta(ker_chain))
+        if not ud.window_is_zero(img, model):
+            junk_rows.append(_window_vector(img, model))
+    side = len(model.window)
+    return [np.array(row, dtype=object).reshape(side, side)
+            for row in _dense_rref(junk_rows)[0]]
+
+
+def in_junk_span_dense(mat, matrices, model):
+    rows = [[Fraction(x) for x in m.flatten().tolist()] for m in matrices]
+    _, pivots = _dense_rref(rows + [_window_vector(mat, model)])
+    return len(pivots) == len(matrices)
+
+
+def test_sparse_rref_matches_dense_oracle():
+    """Random small integer matrices, with dependent and zero rows: the
+    sparse rows hold only nonzeros and reduce to the dense RREF."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        nrows, ncols = rng.integers(1, 7), rng.integers(1, 8)
+        dense = rng.integers(-2, 3, (nrows, ncols)) * \
+            (rng.random((nrows, ncols)) < 0.5)
+        if nrows > 1:
+            dense[-1] = dense[0] - 2 * dense[-2]
+        rows = [[Fraction(int(x)) for x in r] for r in dense]
+        want = _dense_rref(rows)[0]
+        got = ud._rref([{c: x for c, x in enumerate(r) if x} for r in rows])
+        assert [[row.get(c, 0) for c in range(ncols)] for row in got] == want
+        assert all(x for row in got for x in row.values())
+
+
+JUNK_MODELS = [CIRCLE, DIAG, ud.CircleModel(60, 12), ud.CircleModel(30, 6)]
+
+
+@pytest.mark.parametrize("model", JUNK_MODELS,
+                         ids=["circle", "diagonal", "circle-60-12",
+                              "circle-30-6"])
+def test_junk_basis_matches_dense_oracle(model):
+    """The sparse elimination and the dense one give the same reduced
+    basis: the same matrices in the same order, shape and entry type."""
+    want = junk_basis_dense(model)
+    got = ud.junk_basis(model, 2).matrices
+    assert len(got) == len(want)
+    side = len(model.window)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (side, side) and g.dtype == object
+        assert all(type(x) is Fraction for x in g.flat)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("model", JUNK_MODELS,
+                         ids=["circle", "diagonal", "circle-60-12",
+                              "circle-30-6"])
+def test_in_junk_span_matches_dense_oracle(model):
+    """Random weighted shifts, random dense arrays and integer combinations
+    of the basis (which must lie in the span) get the oracle's answer."""
+    rng = np.random.default_rng(5)
+    jb = ud.junk_basis(model, 2)
+    n = model.n
+    targets = []
+    for _ in range(6):
+        shifts = rng.choice(n, size=rng.integers(1, 4), replace=False)
+        targets.append(ud.WeightedShift(n, {
+            int(s): np.array(rng.integers(-3, 4, n).tolist(), dtype=object)
+            for s in shifts}))
+        targets.append(rng.integers(-2, 3, (n, n)))
+    for _ in range(6):
+        coefs = rng.integers(-3, 4, len(jb.matrices)).tolist()
+        full = np.zeros((n, n), dtype=object)
+        full[np.ix_(model.window, model.window)] = sum(
+            (c * m for c, m in zip(coefs, jb.matrices)),
+            np.zeros((len(model.window),) * 2, dtype=object))
+        assert ud.in_junk_span(full, jb, model)
+        targets.append(full)
+    for target in targets:
+        assert ud.in_junk_span(target, jb, model) == \
+            in_junk_span_dense(target, jb.matrices, model)
