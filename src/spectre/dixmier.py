@@ -23,12 +23,25 @@ from ._kernels import partial_sums_at
 CHUNK_RUNS = 2**16
 
 
-def index_chunks(start, stop):
+def index_chunks(start, stop, count=1):
     """The indices start..stop-1 as float64 arrays of at most CHUNK_RUNS
-    entries, from which a chunk generator computes its runs."""
-    step = CHUNK_RUNS
-    for lo in range(start, stop, step):
-        yield np.arange(lo, min(lo + step, stop), dtype=np.float64)
+    entries, each with counts all equal to `count`, from which a chunk
+    generator computes its runs in place.
+
+    Every chunk is written into one buffer allocated per call, and its
+    counts are a slice of one read-only array: a chunk is valid until the
+    next one is requested, and the generator may overwrite it with its
+    values.  The indices are exact integers below 2^53."""
+    size = min(CHUNK_RUNS, stop - start)
+    if size <= 0:
+        return
+    base = np.arange(size, dtype=np.float64)
+    buf = np.empty(size)
+    counts = np.full(size, count, dtype=np.int64)
+    counts.flags.writeable = False
+    for lo in range(start, stop, size):
+        m = min(size, stop - lo)
+        yield np.add(base[:m], float(lo), out=buf[:m]), counts[:m]
 
 
 class SingularValueSeq:
@@ -36,9 +49,11 @@ class SingularValueSeq:
     multiplicity runs, read as a stream of (values, counts) chunks.
 
     `chunks_fn(max_terms)` yields chunks that together cover at least
-    max_terms terms; a CSV of runs, known all at once, is one chunk.
-    `kernel_dim` records omitted kernel modes (the inverse is taken to
-    vanish on the kernel)."""
+    max_terms terms; a CSV of runs, known all at once, is one chunk.  The
+    built-in generators write each chunk in place into buffers they reuse
+    for the next one, so a chunk is read-only and valid until the next
+    chunk is requested: copy it to keep it.  `kernel_dim` records omitted
+    kernel modes (the inverse is taken to vanish on the kernel)."""
 
     def __init__(self, chunks_fn, name="seq", kernel_dim=0):
         self._chunks_fn = chunks_fn
@@ -47,7 +62,8 @@ class SingularValueSeq:
 
     def chunks(self, max_terms):
         """The non-empty chunks covering at least max_terms terms, checked
-        within each chunk and across each chunk boundary."""
+        within each chunk and across each chunk boundary, as read-only
+        views valid until the next chunk is requested."""
         last = math.inf
         for values, counts in self._chunks_fn(max_terms):
             if len(values) == 0:
@@ -59,7 +75,7 @@ class SingularValueSeq:
                     and counts.min() >= 1):
                 self._reject(values, counts)
             last = values[-1]
-            yield values, counts
+            yield _read_only(values), _read_only(counts)
 
     def _reject(self, values, counts):
         """Raise for a chunk that failed the one-pass check; a value that
@@ -72,11 +88,11 @@ class SingularValueSeq:
 
     def runs(self, max_terms):
         """Every run covering at least max_terms terms as one (values,
-        counts) pair."""
+        counts) pair; each chunk is copied before the next is drawn."""
         values, counts = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
         for v, c in self.chunks(max_terms):
-            values.append(v)
-            counts.append(c)
+            values.append(v.copy())
+            counts.append(c.copy())
         return np.concatenate(values), np.concatenate(counts)
 
     def mapped(self, fn, name):
@@ -118,6 +134,12 @@ class SingularValueSeq:
                                 chunks_fn=chunks_fn)
 
 
+def _read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def _drop_terms(values, counts, k):
     """Remove the first k terms of a chunk; also returns how many terms
     later chunks must still drop."""
@@ -138,34 +160,37 @@ def _drop_terms(values, counts, k):
 
 def harmonic():
     def chunks(n):
-        for ks in index_chunks(0, n):
-            yield 1.0 / (ks + 1.0), np.ones(len(ks), dtype=np.int64)
+        for ks, ones in index_chunks(0, n):
+            ks += 1.0
+            yield np.divide(1.0, ks, out=ks), ones
     return SingularValueSeq(name="harmonic", chunks_fn=chunks)
 
 
 def harmonic_doubled():
     def chunks(n):
-        for ks in index_chunks(1, n // 2 + 2):
-            yield 1.0 / ks, np.full(len(ks), 2, dtype=np.int64)
+        for ks, twos in index_chunks(1, n // 2 + 2, count=2):
+            yield np.divide(1.0, ks, out=ks), twos
     return SingularValueSeq(name="harmonic-doubled", chunks_fn=chunks)
 
 
 def geometric():
     def chunks(n):
         m = min(n, 900)  # deeper terms would underflow
-        for ks in index_chunks(0, m):
-            v = 0.5 ** ks
-            yield v, np.ones(len(ks), dtype=np.int64)
+        for ks, ones in index_chunks(0, m):
+            yield np.power(0.5, ks, out=ks), ones
         if m < n:  # constant subnormal-free tail so checkpoints resolve
-            yield v[-1:], np.array([n - m], dtype=np.int64)
+            yield ks[-1:], np.array([n - m], dtype=np.int64)
     return SingularValueSeq(name="geometric", chunks_fn=chunks)
 
 
 def telescoping_log():
     def chunks(n):
-        for ks in index_chunks(0, n):
-            yield (np.log((ks + 2.0) / (ks + 1.0)),
-                   np.ones(len(ks), dtype=np.int64))
+        above = np.empty(min(CHUNK_RUNS, max(n, 0)))    # ks + 2.0
+        for ks, ones in index_chunks(0, n):
+            num = np.add(ks, 2.0, out=above[:len(ks)])
+            ks += 1.0
+            np.divide(num, ks, out=ks)
+            yield np.log(ks, out=ks), ones
     return SingularValueSeq(name="telescoping-log", chunks_fn=chunks)
 
 
@@ -182,9 +207,13 @@ def block_oscillator():
             bounds.append(int(math.ceil(bounds[-1] ** 2)))
         edges = [1] + [b for b in bounds if b < n + 1] + [n + 1]
         for level, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            for ks in index_chunks(lo, hi):
-                values = 3.0 / (ks + 2.0 * lo) if level % 2 else 1.0 / ks
-                yield values, np.ones(len(ks), dtype=np.int64)
+            for ks, ones in index_chunks(lo, hi):
+                if level % 2:
+                    ks += 2.0 * lo
+                    np.divide(3.0, ks, out=ks)
+                else:
+                    np.divide(1.0, ks, out=ks)
+                yield ks, ones
     return SingularValueSeq(name="block-oscillator", chunks_fn=chunks)
 
 
@@ -207,8 +236,10 @@ def partial_sum(seq, n):
 
 def partial_sums(seq, ns):
     """partial_sum for each N in ns (any order), summed one chunk at a
-    time."""
-    ns = np.asarray(ns, dtype=np.int64)
+    time; each N must be an integer >= 0, and no N gives no sums."""
+    ns = _term_indices(ns)
+    if len(ns) == 0:
+        return np.empty(0)
     order = np.argsort(ns, kind='stable')
     wanted = ns[order] + 1          # ascending 1-based term counts
     out = np.empty(len(ns))
@@ -220,6 +251,21 @@ def partial_sums(seq, ns):
     if done < len(wanted):
         raise ValueError("checkpoint beyond enumerated terms")
     return out
+
+
+def _term_indices(ns):
+    """ns as int64, refusing anything but a list of integers N >= 0 whose
+    N + 1 terms count in int64 (an integral float is its integer)."""
+    ns = np.asarray(ns)
+    if ns.dtype.kind == 'f' and np.all((np.trunc(ns) == ns)
+                                       & (abs(ns) < 2.0**63)):
+        ns = ns.astype(np.int64)
+    if ns.ndim == 1 and ns.dtype.kind in 'iu':
+        ns = ns.astype(np.int64)    # a uint64 past int64 wraps below 0
+        if np.all((ns >= 0) & (ns < np.iinfo(np.int64).max)):
+            return ns
+    raise ValueError("checkpoints must be a list of integers "
+                     "0 <= N < 2^63 - 1")
 
 
 def partial_ratio(seq, n):
@@ -266,8 +312,8 @@ def p1_norm(seq, p, n):
     """Partial sum of the (p,1) functional: sum_{k=1..N} k^(1/p - 1) mu_k;
     the k = 0 term is excluded (its weight is singular as written).  For
     p >= 1 the weighted terms are non-increasing, so they are a sequence
-    of their own, written out at most CHUNK_RUNS terms at a time and added
-    left to right by `partial_sum`."""
+    of their own, written out in place at most CHUNK_RUNS terms at a time
+    and added left to right by `partial_sum`."""
     if not p >= 1:
         raise ValueError("p must be at least 1")
     if n < 1:
@@ -278,10 +324,14 @@ def p1_norm(seq, p, n):
         for values, counts in seq.chunks(m + 1):
             ends = np.cumsum(counts)
             stop = min(first + int(ends[-1]), m + 1)
-            for ks in index_chunks(max(first, 1), stop):
-                mu = values[np.searchsorted(ends, ks - first, side='right')]
-                weights = ks ** (1.0 / p - 1.0)
-                yield weights * mu, np.ones(len(ks), dtype=np.int64)
+            # ks counts from the chunk's first term until mu is read
+            for ks, ones in index_chunks(max(first, 1) - first,
+                                         stop - first):
+                mu = values[np.searchsorted(ends, ks, side='right')]
+                ks += first
+                ks **= 1.0 / p - 1.0
+                ks *= mu
+                yield ks, ones
             first += int(ends[-1])
     return partial_sum(SingularValueSeq(chunks_fn, name=f"{seq.name}-p{p}"),
                        n - 1)

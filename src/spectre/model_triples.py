@@ -61,9 +61,9 @@ def circle_singular_values(spec):
     rad = spec.radius
 
     def chunks(max_terms):
-        for ns in index_chunks(0, max_terms // 2 + 1):
-            yield (rad / (ns + (1.0 if off == 0.0 else 0.5)),
-                   np.full(len(ns), 2, dtype=np.int64))
+        for ns, twos in index_chunks(0, max_terms // 2 + 1, count=2):
+            ns += 1.0 if off == 0.0 else 0.5
+            yield np.divide(rad, ns, out=ns), twos
     kernel = 1 if off == 0.0 else 0
     return SingularValueSeq(name=f"circle(offset={off})", kernel_dim=kernel,
                             chunks_fn=chunks)

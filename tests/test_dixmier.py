@@ -105,6 +105,40 @@ def test_checkpoint_beyond_enumerated_terms_raises(call):
         call(seq)
 
 
+def _unsummed(n):
+    raise AssertionError("summed a term")
+    yield
+
+
+@pytest.mark.parametrize("ns", [[-2, 10], [-1], [3.7, 2], [0.5], [math.nan],
+                                [math.inf], [1e30], [True], [2**70],
+                                [2**63 - 1],
+                                np.array([2**63], dtype=np.uint64),
+                                [[1, 2]]])
+def test_partial_sums_refuses_checkpoints_that_are_not_term_indices(ns):
+    """A negative N once extrapolated back from term 0 to a negative sum,
+    a fractional N was truncated, and N = 2^63 - 1, whose N + 1 terms wrap
+    in int64, enumerated terms without end.  Each is named before any term
+    is summed, and so is anything that is not a list of integers."""
+    seq = dx.SingularValueSeq(_unsummed, name="unsummed")
+    with pytest.raises(ValueError, match="list of integers 0 <= N"):
+        dx.partial_sums(seq, ns)
+
+
+def test_partial_sums_boundary_inputs():
+    """No checkpoint gives no sums and sums no term; N = 0 is the first
+    term; an integral float N is its integer; partial_sum(-1) is refused."""
+    unsummed = dx.SingularValueSeq(_unsummed, name="unsummed")
+    out = dx.partial_sums(unsummed, [])
+    assert out.dtype == np.float64 and out.shape == (0,)
+    h = dx.harmonic()
+    assert dx.partial_sum(h, 0) == 1.0
+    assert _hex(dx.partial_sums(h, [3.0, 2])) == \
+        _hex(dx.partial_sums(h, [3, 2]))
+    with pytest.raises(ValueError, match="list of integers 0 <= N"):
+        dx.partial_sum(h, -1)
+
+
 def test_harmonic_partial_sums_match_fsum_oracle():
     h = dx.harmonic()
     for n, expect in HARMONIC_PARTIALS.items():
@@ -466,6 +500,108 @@ def test_chunked_runs_match_one_chunk_runs(monkeypatch):
     values, counts = _chunked_sequences()["prefix"].runs(1000)
     assert _hex(values) == _hex(allv[order])
     assert counts.tolist() == allc[order].tolist()
+
+
+def _closed_form_runs(name, n):
+    """The runs covering n terms, from each generator's formula over one
+    fresh np.arange (block-oscillator levels start at 8, 64, 4096)."""
+    def arange(lo, hi):
+        return np.arange(lo, hi, dtype=np.float64)
+
+    def const(k, c=1):
+        return np.full(k, c, dtype=np.int64)
+    if name == "harmonic":
+        return 1.0 / (arange(0, n) + 1.0), const(n)
+    if name == "harmonic-doubled":
+        ks = arange(1, n // 2 + 2)
+        return 1.0 / ks, const(len(ks), 2)
+    if name == "geometric":         # 900 terms, then one run of the last
+        values = 0.5 ** arange(0, 900)
+        return (np.append(values, values[-1]),
+                np.append(const(900), n - 900))
+    if name == "telescoping-log":
+        ks = arange(0, n)
+        return np.log((ks + 2.0) / (ks + 1.0)), const(n)
+    if name == "block-oscillator":
+        edges = [1, 8, 64, 4096, n + 1]
+        assert n < 8**8
+        levels = [3.0 / (arange(lo, hi) + 2.0 * lo) if level % 2
+                  else 1.0 / arange(lo, hi)
+                  for level, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+        return np.concatenate(levels), const(n)
+    off, rad = {"circle": (1.0, 1.0), "circle-spin": (0.5, 2.5)}[name]
+    ns = arange(0, n // 2 + 1)
+    return rad / (ns + off), const(len(ns), 2)
+
+
+def _in_place_streams():
+    return {**{name: mk() for name, mk in dx.BUILTINS.items()},
+            "circle": mt.circle_singular_values(mt.CircleSpec()),
+            "circle-spin": mt.circle_singular_values(mt.CircleSpec(0.5,
+                                                                   2.5))}
+
+
+@pytest.mark.parametrize("chunk_runs, n", [(7, 5000), (2**16, 5 * 2**16 + 3)])
+@pytest.mark.parametrize("name", sorted(_in_place_streams()))
+def test_generators_match_their_closed_forms(monkeypatch, chunk_runs, n,
+                                             name):
+    """Every run the in-place generators write equals its formula over a
+    fresh np.arange bit for bit, geometric's tail run and the
+    block-oscillator's level edges included."""
+    values, counts = _closed_form_runs(name, n)
+    monkeypatch.setattr(dx, "CHUNK_RUNS", chunk_runs)
+    got_values, got_counts = _in_place_streams()[name].runs(n)
+    assert got_values.view(np.uint64).tolist() == \
+        values.view(np.uint64).tolist()
+    assert got_counts.dtype == np.int64
+    assert got_counts.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_in_place_streams()))
+def test_generators_write_every_chunk_into_one_buffer(monkeypatch, name):
+    """Consecutive chunks of a stream share their memory, values and
+    counts alike (the block-oscillator's first chunk is its own level)."""
+    monkeypatch.setattr(dx, "CHUNK_RUNS", 7)
+    chunks = list(_in_place_streams()[name].chunks(60))
+    assert len(chunks) >= 4
+    for (v1, c1), (v2, c2) in zip(chunks[1:], chunks[2:]):
+        assert np.shares_memory(v1, v2) and np.shares_memory(c1, c2)
+
+
+@pytest.mark.parametrize("name", sorted(_in_place_streams()))
+def test_chunks_are_read_only(name):
+    for values, counts in _in_place_streams()[name].chunks(10):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = 1
+
+
+def test_chunks_leave_a_generators_own_arrays_writable():
+    """The read-only chunk is a view: the arrays a generator yields stay
+    writable to it."""
+    values, counts = np.array([2.0, 1.0]), np.array([1, 1])
+    seq = dx.SingularValueSeq(lambda n: iter([(values, counts)]), name="own")
+    (v, c), = seq.chunks(2)
+    with pytest.raises(ValueError, match="read-only"):
+        v[0] = 3.0
+    assert values.flags.writeable and counts.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(_in_place_streams()))
+def test_runs_are_copies_of_the_chunks(monkeypatch, name):
+    """runs() keeps its own copy of every chunk: drawing the sequence
+    again, or in between, leaves its arrays as they were."""
+    monkeypatch.setattr(dx, "CHUNK_RUNS", 7)
+    seq = _in_place_streams()[name]
+    values, counts = seq.runs(60)
+    kept = values.tolist(), counts.tolist()
+    stream = seq.chunks(60)
+    next(stream)
+    seq.runs(60)
+    next(stream)
+    dx.partial_sums(seq, [59])
+    assert (values.tolist(), counts.tolist()) == kept
 
 
 def test_harmonic_streamed_sum_matches_digamma_oracle():
