@@ -12,7 +12,9 @@ IMPL = "python"
 def partial_sums_at(values, counts, checkpoints, carry=(0, 0.0)):
     """Sums of the first N terms of the sequence given by (value, count)
     runs, for the leading N of the ascending checkpoints (1-based term
-    counts) that fall inside these runs; returns (sums, carry).
+    counts) that fall inside these runs; returns (sums, carry).  `counts`
+    is one count per run or a 0-d array, the count of every run, which
+    the multiply takes as a scalar.
 
     `carry` is (terms, sum) of everything before these runs, and the
     returned carry is (terms, sum) at their end, so a long sequence is
@@ -31,7 +33,9 @@ def partial_sums_at(values, counts, checkpoints, carry=(0, 0.0)):
     counts = np.asarray(counts, dtype=np.int64)
     ns = np.asarray(checkpoints, dtype=np.int64)
     carry_terms, carry_sum = carry
-    end = carry_terms + int(counts.sum())
+    terms = (int(counts) * len(values) if counts.ndim == 0
+             else int(counts.sum()))
+    end = carry_terms + terms
     part = ns[:int(np.searchsorted(ns, end, side='right'))]
     # entry i is the sum before run i; the last entry is after all runs
     cum_sums = np.empty(len(values) + 1)
@@ -41,7 +45,7 @@ def partial_sums_at(values, counts, checkpoints, carry=(0, 0.0)):
     sums = np.empty(0)
     if len(part):
         # the running term count, only for a chunk with checkpoints
-        cum_counts = np.empty(len(counts) + 1, dtype=np.int64)
+        cum_counts = np.empty(len(values) + 1, dtype=np.int64)
         cum_counts[0] = carry_terms
         cum_counts[1:] = counts
         np.cumsum(cum_counts, out=cum_counts)

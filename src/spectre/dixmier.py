@@ -25,28 +25,31 @@ CHUNK_RUNS = 2**16
 
 def index_chunks(start, stop, count=1):
     """The indices start..stop-1 as float64 arrays of at most CHUNK_RUNS
-    entries, each with counts all equal to `count`, from which a chunk
-    generator computes its runs in place.
+    entries, from which a chunk generator computes its runs in place,
+    each with `count` as its counts: a read-only 0-d int64 array, the
+    count of every run.
 
-    Every chunk is written into one buffer allocated per call, and its
-    counts are a slice of one read-only array: a chunk is valid until the
-    next one is requested, and the generator may overwrite it with its
-    values.  The indices are exact integers below 2^53."""
+    Every chunk is written into one buffer allocated per call: a chunk is
+    valid until the next one is requested, and the generator may
+    overwrite it with its values.  The indices are exact integers below
+    2^53."""
     size = min(CHUNK_RUNS, stop - start)
     if size <= 0:
         return
     base = np.arange(size, dtype=np.float64)
     buf = np.empty(size)
-    counts = np.full(size, count, dtype=np.int64)
+    counts = np.array(count, dtype=np.int64)
     counts.flags.writeable = False
     for lo in range(start, stop, size):
         m = min(size, stop - lo)
-        yield np.add(base[:m], float(lo), out=buf[:m]), counts[:m]
+        yield np.add(base[:m], float(lo), out=buf[:m]), counts
 
 
 class SingularValueSeq:
     """Lazily enumerated non-increasing positive sequence with
-    multiplicity runs, read as a stream of (values, counts) chunks.
+    multiplicity runs, read as a stream of (values, counts) chunks.  A
+    chunk's `counts` is one int64 count per run, of shape `values.shape`,
+    or a 0-d int64 array, the count of every run in the chunk.
 
     `chunks_fn(max_terms)` yields chunks that together cover at least
     max_terms terms; a CSV of runs, known all at once, is one chunk.  The
@@ -70,7 +73,9 @@ class SingularValueSeq:
                 continue
             # one pass: the order test is False on any NaN, so a positive
             # tail and a finite head bound every value
-            if not (values[0] <= last and np.all(values[1:] <= values[:-1])
+            if not (counts.shape in ((), values.shape)
+                    and values[0] <= last
+                    and np.all(values[1:] <= values[:-1])
                     and values[-1] > 0 and math.isfinite(values[0])
                     and counts.min() >= 1):
                 self._reject(values, counts)
@@ -78,8 +83,12 @@ class SingularValueSeq:
             yield _read_only(values), _read_only(counts)
 
     def _reject(self, values, counts):
-        """Raise for a chunk that failed the one-pass check; a value that
-        is not finite and positive is named before any break in order."""
+        """Raise for a chunk that failed the one-pass check; a count of
+        the wrong shape is named first, then a value that is not finite
+        and positive, then a break in order."""
+        if counts.shape not in ((), values.shape):
+            raise ValueError(f"{self.name}: needs one count, "
+                             "or one count per value")
         if (not np.all(values > 0) or not math.isfinite(values[0])
                 or np.any(counts < 1)):
             raise ValueError(f"{self.name}: needs finite positive values "
@@ -88,11 +97,12 @@ class SingularValueSeq:
 
     def runs(self, max_terms):
         """Every run covering at least max_terms terms as one (values,
-        counts) pair; each chunk is copied before the next is drawn."""
+        counts) pair, with one count per run; each chunk is copied before
+        the next is drawn."""
         values, counts = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
         for v, c in self.chunks(max_terms):
             values.append(v.copy())
-            counts.append(c.copy())
+            counts.append(np.broadcast_to(c, v.shape).copy())
         return np.concatenate(values), np.concatenate(counts)
 
     def mapped(self, fn, name):
@@ -120,6 +130,10 @@ class SingularValueSeq:
         def chunks_fn(n):
             pending, drop = prefix, len(prefix)
             for values, counts in source(n + len(prefix)):
+                # the source is unchecked: a 0-d count is written out one
+                # per run, any other counts pass as they are
+                if counts.ndim == 0:
+                    counts = np.broadcast_to(counts, values.shape)
                 values, counts, drop = _drop_terms(values, counts, drop)
                 # values of this chunk strictly above each pending value
                 pos = np.searchsorted(-values, -pending, side='left')
@@ -286,6 +300,7 @@ def pinfty_norm(seq, p, n):
     and folded into a running maximum."""
     if not p > 1:
         raise ValueError("p must exceed 1")
+    n = int(_term_indices([n])[0])
     if n < 1:
         raise ValueError("N >= 1")
     best = -math.inf
@@ -322,7 +337,7 @@ def p1_norm(seq, p, n):
     def chunks_fn(m):               # weighted terms k = 1..m
         first = 0                   # index of the chunk's first term
         for values, counts in seq.chunks(m + 1):
-            ends = np.cumsum(counts)
+            ends = np.cumsum(np.broadcast_to(counts, values.shape))
             stop = min(first + int(ends[-1]), m + 1)
             # ks counts from the chunk's first term until mu is read
             for ks, ones in index_chunks(max(first, 1) - first,
@@ -354,14 +369,14 @@ class TraceEstimate:
 def dixmier_estimate(seq, schedule):
     """Least-squares fit of the partial ratio against c0 + c1/log N over
     the schedule; the error bar is the largest fit residual."""
-    schedule = [int(n) for n in schedule]
+    schedule = _term_indices(schedule).tolist()
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 points")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must increase")
     if schedule[0] < 2:
         raise ValueError("the logarithmic ratio needs N >= 2")
-    sums = partial_sums(seq, np.array(schedule))
+    sums = partial_sums(seq, schedule)
     logs = np.log(np.array(schedule, dtype=np.float64))
     with np.errstate(over='ignore'):
         ratios = sums / logs

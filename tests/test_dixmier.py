@@ -87,6 +87,40 @@ def test_kernel_leaves_checkpoints_past_the_chunk_unanswered():
     assert sums.tolist() == [2.5, 7.5] and carry == (15, 7.5)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 7])
+def test_kernel_takes_a_0d_count_as_every_runs_count(count):
+    """A 0-d count gives the sums and carry of the same chunk with one
+    count per run bit for bit, with checkpoints at run ends and inside
+    runs (pro rata), and chunk by chunk across carries."""
+    rng = np.random.default_rng(count)
+    values = np.sort(rng.uniform(0.1, 5.0, size=300))[::-1].copy()
+    per_run = np.full(300, count, dtype=np.int64)
+    shared = np.array(count, dtype=np.int64)
+    ns = np.arange(1, 300 * count + 1)
+    expect, expect_carry = partial_sums_at(values, per_run, ns)
+    sums, carry = partial_sums_at(values, shared, ns)
+    assert _hex(sums) == _hex(expect)
+    assert carry[0] == expect_carry[0] == 300 * count
+    assert carry[1].hex() == expect_carry[1].hex()
+    got, carry = [], (0, 0.0)
+    for lo, hi in ((0, 1), (1, 77), (77, 78), (78, 300)):
+        sums, carry = partial_sums_at(values[lo:hi], shared,
+                                      ns[len(got):], carry)
+        assert carry[0] == hi * count
+        got += _hex(sums)
+    assert got == _hex(expect)
+    assert carry[1].hex() == expect_carry[1].hex()
+
+
+def test_kernel_with_a_0d_count_names_an_overflow():
+    values = np.array([1e308, 1e308])
+    for counts in (np.array([2, 2]), np.array(2)):
+        sums, carry = partial_sums_at(values, counts, [1])
+        assert sums.tolist() == [1e308] and carry[1] == math.inf
+        with pytest.raises(ValueError, match="overflows float64"):
+            partial_sums_at(values, counts, [3])
+
+
 def _three_terms(n):
     yield np.array([3.0, 1.0]), np.array([1, 2])
 
@@ -211,6 +245,25 @@ def test_schedule_below_two_is_rejected_before_any_sum(schedule):
         dx.dixmier_estimate(seq, schedule)
 
 
+@pytest.mark.parametrize("schedule", [[2.5, 3, 4], [10, 100, 1e3 + 0.5],
+                                      [10, 100, math.inf],
+                                      [10, 100, math.nan], [[10, 100, 1000]]])
+def test_schedule_of_non_integers_is_rejected_before_any_sum(schedule):
+    """int() once truncated 2.5 to 2 and fitted the schedule [2, 3, 4];
+    the rule is partial_sums' own, named before a term is summed."""
+    seq = dx.SingularValueSeq(_unsummed, name="unsummed")
+    with pytest.raises(ValueError, match="list of integers 0 <= N"):
+        dx.dixmier_estimate(seq, schedule)
+
+
+def test_schedule_of_integral_floats_is_its_integers():
+    h = dx.harmonic()
+    est = dx.dixmier_estimate(h, [10.0, 100, 1000])
+    assert est.schedule == [10, 100, 1000]
+    assert all(type(n) is int for n in est.schedule)
+    assert est == dx.dixmier_estimate(h, [10, 100, 1000])
+
+
 def test_trace_estimate_model_is_a_constant():
     """Four settable values; the model is the class's, and `as_dict`
     still reports it."""
@@ -299,6 +352,20 @@ def test_pinfty_and_p1_norms():
 def test_pinfty_norm_rejects_nan_p():
     with pytest.raises(ValueError, match="p must exceed 1"):
         dx.pinfty_norm(dx.harmonic(), math.nan, 10)
+
+
+@pytest.mark.parametrize("n", [2.5, math.inf, math.nan, "7", [3]])
+def test_pinfty_norm_refuses_an_n_that_is_not_an_integer(n):
+    """NumPy's TypeError once leaked from N = 2.5 and N = inf; the rule
+    is partial_sums' own, named before a term is summed."""
+    seq = dx.SingularValueSeq(_unsummed, name="unsummed")
+    with pytest.raises(ValueError, match="list of integers 0 <= N"):
+        dx.pinfty_norm(seq, 2, n)
+
+
+def test_pinfty_norm_takes_an_integral_float_n():
+    h = dx.harmonic()
+    assert dx.pinfty_norm(h, 2, 700.0).hex() == dx.pinfty_norm(h, 2, 700).hex()
 
 
 def _pinfty_all_at_once(seq, p, n):
@@ -397,6 +464,22 @@ def test_sequence_validation():
         bad.runs(2)
 
 
+@pytest.mark.parametrize("counts", [[2], [1, 1], [[1, 1, 1]], []])
+def test_sequence_rejects_counts_of_another_shape(counts):
+    """Counts are one count or one count per value: a (1,) array beside
+    three values once summed as one run's count and gave runs() arrays
+    of different lengths, and two counts beside three values leaked
+    NumPy's broadcast error."""
+    def chunks_fn(n):
+        yield np.array([3.0, 2.0, 1.0]), np.array(counts, dtype=np.int64)
+    seq = dx.SingularValueSeq(chunks_fn, name="odd")
+    for call in (lambda: seq.runs(3), lambda: dx.partial_sums(seq, [1]),
+                 lambda: dx.p1_norm(seq, 2, 2)):
+        with pytest.raises(ValueError, match="odd: needs one count, "
+                                             "or one count per value"):
+            call()
+
+
 @pytest.mark.parametrize("values", [[math.nan, math.nan], [1.0, math.nan],
                                     [math.nan, 1.0], [math.inf, 1.0],
                                     [math.inf, math.inf],
@@ -434,6 +517,10 @@ def _chunked_sequences():
     def hand_chunks(n):
         yield 1.0 / np.arange(1, n + 1), np.ones(n, dtype=np.int64)
     hand = dx.SingularValueSeq(hand_chunks, name="hand-built")
+
+    def shared_chunks(n):
+        yield 1.0 / np.arange(1, n // 3 + 2), np.array(3)
+    shared = dx.SingularValueSeq(shared_chunks, name="hand-built-shared")
     return {
         **{name: mk() for name, mk in dx.BUILTINS.items()},
         "circle": mt.circle_singular_values(mt.CircleSpec()),
@@ -442,6 +529,7 @@ def _chunked_sequences():
         "scaled": dx.block_oscillator().scaled(2.5),
         "prefix": dx.harmonic_doubled().with_prefix(PREFIX),
         "hand-built": hand,
+        "hand-built-shared": shared,
     }
 
 
@@ -602,6 +690,42 @@ def test_runs_are_copies_of_the_chunks(monkeypatch, name):
     next(stream)
     dx.partial_sums(seq, [59])
     assert (values.tolist(), counts.tolist()) == kept
+
+
+def _per_run_twin(seq):
+    """The sequence with each chunk's counts written out one per run, as
+    the generators gave them before a chunk could carry one 0-d count."""
+    def chunks_fn(n):
+        for values, counts in seq.chunks(n):
+            yield values, np.broadcast_to(counts, values.shape).copy()
+    return dx.SingularValueSeq(chunks_fn, name=seq.name,
+                               kernel_dim=seq.kernel_dim)
+
+
+@pytest.mark.parametrize("chunk_runs", [7, 2**16])
+@pytest.mark.parametrize("name", sorted(_in_place_streams()))
+def test_0d_counts_give_what_per_run_counts_give(monkeypatch, chunk_runs,
+                                                  name):
+    """The in-place streams carry one 0-d count per chunk (geometric's
+    tail run aside); runs(), with_prefix and the norms read them as the
+    same counts written out one per run, bit for bit."""
+    monkeypatch.setattr(dx, "CHUNK_RUNS", chunk_runs)
+    seq = _in_place_streams()[name]
+    twin = _per_run_twin(seq)
+    assert all(c.ndim == 0 for v, c in seq.chunks(900))
+    for a, b in ((seq, twin),
+                 (seq.with_prefix(PREFIX), twin.with_prefix(PREFIX))):
+        values, counts = a.runs(1000)
+        expect_values, expect_counts = b.runs(1000)
+        assert counts.dtype == np.int64 and counts.shape == values.shape
+        assert _hex(values) == _hex(expect_values)
+        assert counts.tolist() == expect_counts.tolist()
+        ns = [0, 1, 5, 6, 7, 8, 13, 14, 15, 998, 999]
+        assert _hex(dx.partial_sums(a, ns)) == _hex(dx.partial_sums(b, ns))
+    for p in (1.5, 2, 3):
+        assert dx.p1_norm(seq, p, 999).hex() == dx.p1_norm(twin, p, 999).hex()
+        assert dx.pinfty_norm(seq, p, 999).hex() == \
+            dx.pinfty_norm(twin, p, 999).hex()
 
 
 def test_harmonic_streamed_sum_matches_digamma_oracle():

@@ -8,6 +8,8 @@ import inspect
 import pathlib
 import shutil
 import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -66,3 +68,29 @@ def test_benchmark_direct_calls_bind():
     }
     for fn, (args, kwargs) in calls.items():
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_failing_property_test_does_not_abort_the_session(tmp_path):
+    """Under the project's warning filters a failing @given test is one
+    failure and the session goes on: hypothesis imports libcst to write
+    the failure's patch, and that import warns of a deprecation."""
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_passes():
+            pass
+    """))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
