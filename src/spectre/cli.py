@@ -15,8 +15,6 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 
 class UsageError(Exception):
     """Bad command-line input, reported on stderr with exit code 2."""
@@ -34,6 +32,10 @@ def _number(text, kind, where):
 
 
 def _schedule(text):
+    """The --schedule entries; dixmier's default when it is unset."""
+    if text is None:
+        from .dixmier import default_schedule
+        return default_schedule()
     schedule = [_number(x, int, "--schedule") for x in text.split(",")]
     if len(schedule) < 3:
         raise UsageError("--schedule: needs at least 3 entries")
@@ -122,6 +124,8 @@ def cmd_hochschild(args):
 
 
 def cmd_dixmier(args):
+    import numpy as np
+
     from . import dixmier as dx
     if (args.seq is None) == (args.csv is None):
         raise UsageError("dixmier needs exactly one of --seq and --csv")
@@ -257,9 +261,6 @@ def _fmt_factors(factors):
 # ----------------------------------------------------------------------
 
 def build_parser():
-    from .dixmier import default_schedule
-    schedule = ",".join(map(str, default_schedule()))
-
     ap = argparse.ArgumentParser(
         prog="spectre",
         description="numeric and symbolic checks for commutative "
@@ -276,12 +277,12 @@ def build_parser():
     dp = sub.add_parser("dixmier", help="trace estimate of a sequence")
     dp.add_argument("--seq")
     dp.add_argument("--csv")
-    dp.add_argument("--schedule", default=schedule)
+    dp.add_argument("--schedule")
 
     vp = sub.add_parser("volume", help="trace-versus-volume check")
     vp.add_argument("--model", choices=("circle", "torus"), required=True)
     vp.add_argument("--p", type=int)
-    vp.add_argument("--schedule", default=schedule)
+    vp.add_argument("--schedule")
 
     gp = sub.add_parser("distance", help="spectral distance on a graph")
     gp.add_argument("--graph", required=True)

@@ -1,5 +1,5 @@
-"""Gamma-matrix representations with signature, chirality and real
-structures.
+"""Gamma matrices for any signature, chirality, real structures, and the
+numeric gamma-word trace that oracles `wodzicki.gamma_word_trace`.
 
 Conventions: generators obey  g^a g^b + g^b g^a = -2 eta^{ab}  with
 eta = diag(+1 x r, -1 x s); the first r generators are anti-Hermitian and
@@ -9,13 +9,9 @@ floating point arithmetic on them is exact.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rationals import GQ, ONE
-from .symbols import SymbolExpr
 
 MAX_DIM = 12
 
@@ -251,68 +247,6 @@ def _check_real_structure(rs, gs, omega):
     if omega is not None:
         assert np.allclose(rs.C @ omega.conj(),
                            rs.eps_double_prime * omega @ rs.C)
-
-
-def gamma_word_trace(word, p):
-    """Symbolic spinor trace of a gamma word (sequence of index labels;
-    a repeated label is a contraction) with the -2 delta anticommutator,
-    in dimension p: `word_trace_poly(word)` evaluated at p."""
-    if not 1 <= p <= MAX_DIM:
-        raise ValueError(f"dimension {p} outside supported range "
-                         f"1..{MAX_DIM}")
-    return trace_poly_at(word_trace_poly(tuple(word)), p)
-
-
-@functools.cache
-def word_trace_poly(word):
-    """The trace of a gamma word as a polynomial in the dimension p: a
-    tuple (c_0, c_1, ...) of p-free delta polynomials with trace
-    2^[p/2] * sum_k c_k p^k.  p enters only through the spinor dimension
-    2^[p/2] and a factor p for each self-contraction g^a g_a, so a word
-    is traced once for every p.  Odd-length words are traceless (the
-    empty tuple).  Only deltas of two distinct free labels are kept."""
-    if len(word) > 8:
-        raise ValueError("gamma words longer than 8 are not supported")
-    if any(word.count(l) > 2 for l in word):
-        raise ValueError("labels must appear once or twice")
-    if len(word) % 2 == 1:
-        return ()
-    if not word:
-        return (SymbolExpr.const(ONE),)
-    a = word[0]
-    out = ()
-    for j in range(1, len(word)):
-        # (-1)^j with 1-based j for positions 2..n, times the -delta
-        # from the anticommutator
-        sign = ONE if j % 2 == 0 else GQ(-1)
-        b, rest = word[j], word[1:j] + word[j + 1:]
-        if a == b:
-            term = (SymbolExpr(),) + word_trace_poly(rest)
-        elif a in rest or b in rest:
-            old, new = (a, b) if a in rest else (b, a)
-            term = word_trace_poly(tuple(new if l == old else l
-                                         for l in rest))
-        else:
-            dl = SymbolExpr.mono(tens=(('dl', a, b),))
-            term = tuple(dl * c for c in word_trace_poly(rest))
-        out = add_trace_polys(out, tuple(c.scale(sign) for c in term))
-    return out
-
-
-def add_trace_polys(u, v):
-    """Coefficient-wise sum of two trace polynomials."""
-    zero = SymbolExpr()
-    return tuple((u[k] if k < len(u) else zero) +
-                 (v[k] if k < len(v) else zero)
-                 for k in range(max(len(u), len(v))))
-
-
-def trace_poly_at(poly, p):
-    """2^[p/2] * sum_k c_k p^k for a trace polynomial (c_0, c_1, ...)."""
-    out = SymbolExpr()
-    for k, c in enumerate(poly):
-        out = out + c.scale(GQ(2 ** (p // 2) * p ** k))
-    return out
 
 
 def numeric_word_trace(word, p):

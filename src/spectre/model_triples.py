@@ -13,15 +13,11 @@ import numpy as np
 from . import dixmier
 from .dixmier import (SingularValueSeq, default_schedule, dixmier_estimate,
                       index_chunks)
+from .wodzicki import c_p
 
 
 # ----------------------------------------------------------------------
 # volume constant
-
-def c_p(p):
-    """2^[p/2] / ((4 pi)^(p/2) Gamma(p/2 + 1))."""
-    return 2 ** (p // 2) / ((4 * math.pi) ** (p / 2) * math.gamma(p / 2 + 1))
-
 
 def sphere_volume(p_minus_1):
     """Vol(S^(p-1)) = (4 pi)^(p/2) / (2^(p-1) Gamma(p/2))."""

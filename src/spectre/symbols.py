@@ -30,7 +30,7 @@ commutator of covariant derivatives (antisymmetric).
 The engine is dimension-free: nothing here depends on the dimension p, and
 a traced delta dl(i,i), which would be p, raises ValueError.  p enters
 after composition: cosphere moments and spinor traces (`spectre.wodzicki`),
-gamma contractions g^m g_m = -p (`clifford.gamma_word_trace`).
+gamma contractions g^m g_m = -p (`wodzicki.gamma_word_trace`).
 
 Label convention: a negative label is a dummy, summed inside its
 monomial, and a positive label is free.  Canonical form writes the dummies

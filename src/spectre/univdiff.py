@@ -82,6 +82,9 @@ class CircleModel:
     power_cap = 2
 
     def __init__(self, n=48, margin=12):
+        if margin < 0 or n <= 2 * margin:
+            raise ValueError(f"circle window needs 0 <= margin < n/2; got "
+                             f"n = {n}, margin = {margin}")
         self.n = n
         self.margin = margin
         self.D = WeightedShift.diagonal(range(n))
@@ -279,6 +282,8 @@ def random_chain(model, degree, rng, nterms=3):
     """Nonzero chain of `nterms` random terms: coefficients +-1..+-3 and
     non-unit words in the differential slots; a sum that cancels is
     redrawn."""
+    if nterms < 1:
+        raise ValueError(f"nterms must be >= 1, got {nterms}")
     words = model.words()
     slot_words = [w for w in words if w != model.unit]
     while True:

@@ -2,13 +2,13 @@
 
 Builds the squared-Dirac elliptic symbol, its parametrix, inverse powers,
 the absolute-value symbols, the order-(-p) integrand, cosphere moments,
-spinor-trace reduction and the gravity-action coefficients, all with exact
-Gaussian-rational coefficients.
+gamma-word traces, spinor-trace reduction and the gravity-action
+coefficients (multiples of c(p)), all in exact Gaussian rationals.
 
 The symbols are dimension-free, so each is built once per process for
 every p (cached expressions are never mutated).  The dimension p enters at
-`cosphere_integrate`, `spinor_trace` and `trace_reduce`; spinor traces
-are polynomials in p (`spinor_trace_poly`), so the traced group of
+`cosphere_integrate` and the spinor traces, which are polynomials in p
+(`word_trace_poly`, `spinor_trace_poly`), so the traced group of
 `trace_reduce` is also built once per process and only evaluated per p.
 
 Grading note: a symbol's order counts xi-degree only; explicit x factors
@@ -20,10 +20,10 @@ JetExhausted rather than silently truncating.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clifford import add_trace_polys, trace_poly_at, word_trace_poly
 from .rationals import GQ, I, ONE
 from .symbols import (JetExhausted, SymbolExpr, _pruned, compose,
                       perm_parity, relabel_free, sigma2_pow)
@@ -435,6 +435,66 @@ def group_residual(torsion=True):
 # ----------------------------------------------------------------------
 # spinor traces
 
+def gamma_word_trace(word, p):
+    """Symbolic spinor trace of a gamma word (sequence of index labels;
+    a repeated label is a contraction) with the -2 delta anticommutator,
+    in dimension p: `word_trace_poly(word)` evaluated at p."""
+    _check_p(p)
+    return _trace_poly_at(word_trace_poly(tuple(word)), p)
+
+
+@functools.cache
+def word_trace_poly(word):
+    """The trace of a gamma word as a polynomial in the dimension p: a
+    tuple (c_0, c_1, ...) of p-free delta polynomials with trace
+    2^[p/2] * sum_k c_k p^k.  p enters only through the spinor dimension
+    2^[p/2] and a factor p for each self-contraction g^a g_a, so a word
+    is traced once for every p.  Odd-length words are traceless (the
+    empty tuple).  Only deltas of two distinct free labels are kept."""
+    if len(word) > 8:
+        raise ValueError("gamma words longer than 8 are not supported")
+    if any(word.count(l) > 2 for l in word):
+        raise ValueError("labels must appear once or twice")
+    if len(word) % 2 == 1:
+        return ()
+    if not word:
+        return (SymbolExpr.const(ONE),)
+    a = word[0]
+    out = ()
+    for j in range(1, len(word)):
+        # (-1)^j with 1-based j for positions 2..n, times the -delta
+        # from the anticommutator
+        sign = ONE if j % 2 == 0 else GQ(-1)
+        b, rest = word[j], word[1:j] + word[j + 1:]
+        if a == b:
+            term = (SymbolExpr(),) + word_trace_poly(rest)
+        elif a in rest or b in rest:
+            old, new = (a, b) if a in rest else (b, a)
+            term = word_trace_poly(tuple(new if l == old else l
+                                         for l in rest))
+        else:
+            dl = SymbolExpr.mono(tens=(('dl', a, b),))
+            term = tuple(dl * c for c in word_trace_poly(rest))
+        out = _add_trace_polys(out, tuple(c.scale(sign) for c in term))
+    return out
+
+
+def _add_trace_polys(u, v):
+    """Coefficient-wise sum of two trace polynomials."""
+    zero = SymbolExpr()
+    return tuple((u[k] if k < len(u) else zero) +
+                 (v[k] if k < len(v) else zero)
+                 for k in range(max(len(u), len(v))))
+
+
+def _trace_poly_at(poly, p):
+    """2^[p/2] * sum_k c_k p^k for a trace polynomial (c_0, c_1, ...)."""
+    out = SymbolExpr()
+    for k, c in enumerate(poly):
+        out = out + c.scale(GQ(2 ** (p // 2) * p ** k))
+    return out
+
+
 _EXPAND_GAMMA = {
     'T': ('t', Fraction(1, 2), 3),
     'dT': ('dt', Fraction(1, 2), 4),
@@ -448,12 +508,12 @@ def spinor_trace(expr, p):
     torsion and gamma factors; divides out nothing (the 2^[p/2] factor is
     carried in the result)."""
     _check_p(p)
-    return trace_poly_at(spinor_trace_poly(expr), p)
+    return _trace_poly_at(spinor_trace_poly(expr), p)
 
 
 def spinor_trace_poly(expr):
-    """The spinor trace as a polynomial in p (see
-    `clifford.word_trace_poly`): the matrix factors are expanded into
+    """The spinor trace as a polynomial in p (see `word_trace_poly`):
+    the matrix factors are expanded into
     gamma words once, and each word is traced once, for every p."""
     # expand matrix factors into gamma bilinears
     total = SymbolExpr()
@@ -494,7 +554,7 @@ def spinor_trace_poly(expr):
             assert f[0] == 'g'
             labels.append(f[1])
         pre = SymbolExpr.mono(coeff=c, spow=spow, tens=tens)
-        out = add_trace_polys(out, tuple(
+        out = _add_trace_polys(out, tuple(
             pre * tr for tr in word_trace_poly(tuple(labels))))
     return out
 
@@ -515,7 +575,7 @@ def trace_reduce(inv, p, torsion=True):
     if inv.a_dot_a != lam / 4 or inv.div_a != -lam / 2:
         raise ValueError("invariant does not fit the traced group pattern "
                          "b + a.a/4 - div(a)/2")
-    traced = trace_poly_at(_group_trace_poly(torsion), p)
+    traced = _trace_poly_at(_group_trace_poly(torsion), p)
     out = _classify_invariants(traced, scale=lam / 2 ** (p // 2))
     out.add('R', inv.R)
     out.add('t2', inv.t2)
@@ -526,6 +586,11 @@ def trace_reduce(inv, p, torsion=True):
 # ----------------------------------------------------------------------
 # assembled gravity action
 
+def c_p(p):
+    """2^[p/2] / ((4 pi)^(p/2) Gamma(p/2 + 1))."""
+    return 2 ** (p // 2) / ((4 * math.pi) ** (p / 2) * math.gamma(p / 2 + 1))
+
+
 @dataclass
 class GravityAction:
     p: int
@@ -534,7 +599,6 @@ class GravityAction:
     coeff_t2: Fraction     # rational multiple of c(p)
 
     def as_dict(self):
-        from .model_triples import c_p
         cp = c_p(self.p)
         return {
             "p": self.p,

@@ -317,10 +317,10 @@ def test_criterion_10_spinor_trace_identities():
     # multilinearity), plus odd words
     for p in (2, 3, 4):
         for word in _matching_words(6):
-            sym = cl.gamma_word_trace(word, p)
+            sym = w.gamma_word_trace(word, p)
             val = sum((complex(c) for c in sym.terms.values()), 0j)
             ok &= abs(val - cl.numeric_word_trace(word, p)) < 1e-9
-        ok &= cl.gamma_word_trace((0, 1, 0, 1, 2), p).is_zero()
+        ok &= w.gamma_word_trace((0, 1, 0, 1, 2), p).is_zero()
     elapsed = time.monotonic() - t0
     assert report(10, ok, f"torsion traces + word oracle, {elapsed:.1f}s")
 

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from spectre import clifford, dixmier, model_triples, univdiff, wodzicki
-from spectre.cli import build_parser, main
+from spectre.cli import main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
@@ -328,16 +328,18 @@ def test_non_utf8_input_is_a_usage_error(capsys, monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("argv", [["dixmier", "--seq", "harmonic"],
                                   ["volume", "--model", "circle"]])
-def test_schedule_default_is_the_library_default(monkeypatch, argv):
-    """Both --schedule defaults are dixmier.default_schedule(), and follow
-    it."""
-    def parse():
-        return build_parser().parse_args(argv).schedule
+def test_schedule_default_is_the_library_default(capsys, monkeypatch, argv):
+    """Without --schedule, dixmier and volume run
+    dixmier.default_schedule(), and follow it."""
+    def schedule():
+        main(argv)
+        return json.loads(capsys.readouterr().out)["schedule"]
 
-    assert parse() == ",".join(map(str, dixmier.default_schedule()))
-    assert parse() == "10000,100000,1000000,10000000"
+    default = schedule()
+    assert default == dixmier.default_schedule()
+    assert default == [10000, 100000, 1000000, 10000000]
     monkeypatch.setattr(dixmier, "default_schedule", lambda: [10, 20, 30])
-    assert parse() == "10,20,30"
+    assert schedule() == [10, 20, 30]
 
 
 def test_wres_computes_the_integrand_once(capsys, monkeypatch):
@@ -406,7 +408,7 @@ def test_wres_sweep_in_one_process_matches_goldens(capsys):
     wodzicki._inverse_square_full.cache_clear()
     wodzicki.abs_symbol.cache_clear()
     wodzicki._group_trace_poly.cache_clear()
-    clifford.word_trace_poly.cache_clear()
+    wodzicki.word_trace_poly.cache_clear()
     assert run(capsys, ["wres", "--p", "12"])[0] == 0
     for p in (6, 5, 4, 3):
         rc, out = run(capsys, ["wres", "--p", str(p)])

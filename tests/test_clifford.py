@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectre import clifford as cl
+from spectre import wodzicki
 from spectre.rationals import GQ, ONE
 from spectre.symbols import SymbolExpr
 
@@ -140,10 +141,10 @@ def test_matrix_size_guard():
 def test_word_trace_trivial_cases():
     for p in (2, 3, 4):
         pw = 2 ** (p // 2)
-        empty = cl.gamma_word_trace((), p)
+        empty = wodzicki.gamma_word_trace((), p)
         assert empty.terms == {(0, (), ()): GQ(pw)}
-        assert cl.gamma_word_trace((7,), p).is_zero()
-        pair = cl.gamma_word_trace((7, 8), p)
+        assert wodzicki.gamma_word_trace((7,), p).is_zero()
+        pair = wodzicki.gamma_word_trace((7, 8), p)
         ((spow, tens, mat),) = pair.terms.keys()
         assert tens == (('dl', 7, 8),)
         assert list(pair.terms.values())[0] == GQ(-pw)
@@ -157,7 +158,7 @@ def test_word_trace_oracle_exhaustive_small():
                 labels = list(range(length // 2)) * 2
                 rng.shuffle(labels)
                 word = tuple(labels)
-                sym = cl.gamma_word_trace(word, p)
+                sym = wodzicki.gamma_word_trace(word, p)
                 val = sum((complex(c) for c in sym.terms.values()), 0j)
                 num = cl.numeric_word_trace(word, p)
                 assert abs(val - num) < 1e-9, (p, word)
@@ -165,10 +166,10 @@ def test_word_trace_oracle_exhaustive_small():
 
 def test_word_length_guard():
     with pytest.raises(ValueError):
-        cl.gamma_word_trace(tuple(range(5)) + tuple(range(5)), 4)
+        wodzicki.gamma_word_trace(tuple(range(5)) + tuple(range(5)), 4)
     for p in (0, 13):
         with pytest.raises(ValueError):
-            cl.gamma_word_trace((1, 1), p)
+            wodzicki.gamma_word_trace((1, 1), p)
 
 
 @pytest.mark.parametrize("word", [(1, 1, 1, 2), (1, 1, 1, 1), (3, 1, 3, 3),
@@ -178,13 +179,13 @@ def test_word_trace_rejects_a_label_used_three_times(word):
     the numeric oracle rejects such words too."""
     for p in (2, 4):
         with pytest.raises(ValueError, match="once or twice"):
-            cl.gamma_word_trace(word, p)
+            wodzicki.gamma_word_trace(word, p)
 
 
 def gamma_word_trace_reference(word, p):
     """The gamma-word trace as a recursion at a fixed p, the factor p of a
     self-contraction applied on the spot: the oracle for the
-    p-polynomial of `clifford.word_trace_poly`."""
+    p-polynomial of `wodzicki.word_trace_poly`."""
     if not 1 <= p <= cl.MAX_DIM:
         raise ValueError(f"dimension {p} outside supported range "
                          f"1..{cl.MAX_DIM}")
@@ -246,7 +247,7 @@ def test_word_trace_matches_reference_on_small_words(order):
         if order == "descending":
             word = tuple(5 - l for l in word)
         for p in range(1, 13):
-            assert cl.gamma_word_trace(word, p).terms == \
+            assert wodzicki.gamma_word_trace(word, p).terms == \
                 gamma_word_trace_reference(word, p).terms, (word, p)
 
 
@@ -265,7 +266,7 @@ def gamma_words(draw):
 @given(gamma_words())
 def test_word_trace_matches_reference_on_random_words(word):
     for p in range(1, 13):
-        assert cl.gamma_word_trace(word, p).terms == \
+        assert wodzicki.gamma_word_trace(word, p).terms == \
             gamma_word_trace_reference(word, p).terms, p
 
 
@@ -273,11 +274,11 @@ def test_word_trace_poly_is_built_once_for_every_p():
     """The polynomial is p-free: the trace at every p reads the one cached
     entry of the word."""
     word = (1, 2, 3, 1, 2, 3)
-    cl.gamma_word_trace(word, 4)
-    misses = cl.word_trace_poly.cache_info().misses
+    wodzicki.gamma_word_trace(word, 4)
+    misses = wodzicki.word_trace_poly.cache_info().misses
     for p in range(1, 13):
-        cl.gamma_word_trace(word, p)
-    assert cl.word_trace_poly.cache_info().misses == misses
+        wodzicki.gamma_word_trace(word, p)
+    assert wodzicki.word_trace_poly.cache_info().misses == misses
 
 
 def test_clifford_does_not_import_the_symbol_engine():

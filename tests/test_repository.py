@@ -1,10 +1,12 @@
-"""Repository hygiene: nothing the ignore rules exclude is tracked, and
-the benchmark's worker still finds and can call what it uses of
-spectre."""
+"""Repository hygiene: nothing the ignore rules exclude is tracked, the
+modules depend downward only, and the benchmark's worker still finds and
+can call what it uses of spectre."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import shutil
 import subprocess
@@ -28,6 +30,68 @@ def test_no_tracked_file_is_ignored():
         ["git", "ls-files", "-ci", "--exclude-standard"], cwd=ROOT,
         check=True, capture_output=True, text=True).stdout.split()
     assert listed == []
+
+
+# spectre's modules from the bottom up: each imports only modules before it
+LAYERS = ("rationals", "symbols", "wodzicki", "_kernels", "dixmier",
+          "model_triples", "clifford", "univdiff", "cli")
+PACKAGE = ROOT / "src" / "spectre"
+
+
+def _imports(module):
+    """Every module that `module` imports, inside functions too: a spectre
+    module by its short name, any other by its top-level package."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "spectre" if node.level else node.module
+            if node.level and node.module:
+                base += "." + node.module
+            if base == "spectre":
+                names.update(f"spectre.{alias.name}" for alias in node.names)
+            else:
+                names.add(base)
+    return {name.split(".")[1] if name.startswith("spectre.") else
+            name.split(".")[0] for name in names}
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_depend_downward_only(module):
+    above = set(LAYERS[LAYERS.index(module):])
+    assert _imports(module) & above == set()
+
+
+def test_clifford_imports_nothing_from_spectre():
+    """The gamma matrices and their numeric oracle need no symbol engine;
+    the symbolic word traces live in wodzicki."""
+    assert _imports("clifford") & set(LAYERS) == set()
+
+
+@pytest.mark.parametrize("module", ("rationals", "symbols", "wodzicki"))
+def test_exact_layers_import_no_numerics(module):
+    assert _imports(module) & {"numpy", "scipy"} == set()
+
+
+def test_wres_runs_without_numpy():
+    code = ("import contextlib, io, sys\n"
+            "from spectre import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['wres', '--p', '3'])\n"
+            "print(rc, 'numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_benchmark_targets_resolve():

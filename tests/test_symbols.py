@@ -74,7 +74,8 @@ def test_xi_pair_becomes_norm_power():
 def test_delta_trace_is_left_to_the_gamma_trace():
     """The engine carries no dimension: a traced delta is refused, and the
     gamma-word trace contracts g^m g_m to -p itself."""
-    from spectre.clifford import gamma_word_trace, numeric_word_trace
+    from spectre.clifford import numeric_word_trace
+    from spectre.wodzicki import gamma_word_trace
     with pytest.raises(ValueError):
         SymbolExpr.mono(tens=(('dl', 1, 1),))
     # g^m g_m = -7 on spinors of dimension 2^3

@@ -1,7 +1,11 @@
 """Differential-algebra identities on the truncated circle and diagonal
 models, all with exact arithmetic on the interior window."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +37,27 @@ def test_random_chains_are_never_zero():
         for deg in (1, 2, 3):
             for _ in range(2000):
                 assert not ud.random_chain(model, deg, rng).is_zero()
+
+
+def test_random_chain_refuses_fewer_than_one_term():
+    """nterms < 1 draws the empty chain every time, so a redraw loop would
+    never end; the call runs in a subprocess so that a hang fails."""
+    src = str(pathlib.Path(ud.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import random\n"
+            "from spectre import univdiff as ud\n"
+            "for n in (0, -1):\n"
+            "    try:\n"
+            "        ud.random_chain(ud.CircleModel(), 1, random.Random(0),\n"
+            "                        nterms=n)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=30).stdout
+    assert out.splitlines() == ["nterms must be >= 1, got 0",
+                                "nterms must be >= 1, got -1"]
 
 
 def test_b_squared_zero_randomized():
@@ -317,6 +342,20 @@ def test_in_junk_span_rejects_outside_targets():
     empty = ud.junk_basis(DIAG, 2)
     assert ud.in_junk_span(DIAG.pi(0) - DIAG.pi(0), empty, DIAG)
     assert not ud.in_junk_span(DIAG.D, empty, DIAG)
+
+
+@pytest.mark.parametrize("n, margin", [(10, 5), (24, 12), (48, -1)])
+def test_circle_model_refuses_a_window_it_cannot_hold(n, margin):
+    """An empty window (n <= 2 margin) leaves the trace pairing nothing to
+    normalize by; a negative margin asks for more sites than there are."""
+    with pytest.raises(ValueError, match="margin"):
+        ud.CircleModel(n=n, margin=margin)
+
+
+def test_circle_model_takes_a_window_of_one_site():
+    model = ud.CircleModel(n=25, margin=12)
+    assert list(model.window) == [12]
+    assert ud.omega1_form(model, 1, 1) == 1
 
 
 def test_margin_guard_holds_at_zero_margin():
