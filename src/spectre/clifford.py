@@ -104,16 +104,15 @@ def _check_gammas(gs):
     eye = np.eye(d, dtype=complex)
     for a in range(p):
         ga = gs.gammas[a]
-        herm = ga.conj().T
         if a < gs.signature.r:
-            assert np.array_equal(herm, -ga), f"generator {a} not anti-Hermitian"
-        else:
-            assert np.array_equal(herm, ga), f"generator {a} not Hermitian"
+            if not np.array_equal(ga.conj().T, -ga):
+                raise AssertionError(f"generator {a} not anti-Hermitian")
+        elif not np.array_equal(ga.conj().T, ga):
+            raise AssertionError(f"generator {a} not Hermitian")
         for b in range(p):
             anti = ga @ gs.gammas[b] + gs.gammas[b] @ ga
-            target = -2 * gs.eta(a, b) * eye
-            assert np.array_equal(anti, target), \
-                f"anticommutator ({a},{b}) violated"
+            if not np.array_equal(anti, -2 * gs.eta(a, b) * eye):
+                raise AssertionError(f"anticommutator ({a},{b}) violated")
 
 
 def chirality(gs):
@@ -126,34 +125,13 @@ def chirality(gs):
         w = w @ g
     w = (1j) ** ((p + 1) // 2) * w
     eye = np.eye(gs.dim, dtype=complex)
-    if p % 2 == 0:
-        assert np.array_equal(w @ w, eye)
-        for g in gs.gammas:
-            assert np.array_equal(w @ g, -g @ w)
-    else:
-        for g in gs.gammas:
-            assert np.array_equal(w @ g, g @ w)
+    if p % 2 == 0 and not np.array_equal(w @ w, eye):
+        raise AssertionError("chirality does not square to 1")
+    sign = -1 if p % 2 == 0 else 1      # anticommuting, or central
+    for g in gs.gammas:
+        if not np.array_equal(w @ g, sign * (g @ w)):
+            raise AssertionError("chirality breaks (anti)commutation")
     return w
-
-
-def _gamma_monomials(gs):
-    """The 2^p products of distinct generators, with their index sets."""
-    p = gs.signature.p
-    d = gs.dim
-    out = [((), np.eye(d, dtype=complex))]
-    for a in range(p):
-        out += [(idx + (a,), m @ gs.gammas[a]) for idx, m in list(out)
-                if not idx or idx[-1] < a]
-    return out
-
-
-def _scalar_of(m):
-    """c with m = c * Id, else None."""
-    d = m.shape[0]
-    c = m[0, 0]
-    if np.array_equal(m, c * np.eye(d, dtype=complex)):
-        return c
-    return None
 
 
 REAL_STRUCTURE_TABLE = {
@@ -168,46 +146,12 @@ REAL_STRUCTURE_TABLE = {
 }
 
 
-def real_structure_candidates(p):
-    """All antilinear intertwiners C (from the gamma-monomial algebra,
-    unitary, phase-normalized) with C conj(g^a) = s g^a C uniformly in a;
-    yields (C, eps, eps_prime, eps_double_prime)."""
-    return _candidates(*_euclidean_set(p))
-
-
-def _euclidean_set(p):
-    """The self-checked Euclidean gamma set and, for even p, its
-    chirality."""
-    gs = build_gammas(Signature(p, 0))
-    return gs, chirality(gs) if p % 2 == 0 else None
-
-
-def _candidates(gs, omega):
-    """real_structure_candidates on a built gamma set and its chirality."""
-    found = []
-    for idx, m in _gamma_monomials(gs):
-        # the signs s with m conj(g) = s g m for every generator so far;
-        # each product is formed once, for both signs
-        signs = (1, -1)
-        for g in gs.gammas:
-            lhs, rhs = m @ g.conj(), g @ m
-            signs = tuple(s for s in signs if np.array_equal(lhs, s * rhs))
-            if not signs:
-                break
-        for sgn in signs:
-            eps = _scalar_of(m @ m.conj())
-            if eps is None or eps not in (1, -1):
-                continue
-            C = _normalize_phase(m)
-            epp = None
-            if omega is not None:
-                val = _scalar_of(
-                    np.linalg.inv(omega) @ C @ omega.conj() @
-                    np.linalg.inv(C))
-                epp = int(val.real) if val is not None else None
-            found.append((C, int(eps.real) if hasattr(eps, 'real')
-                          else int(eps), sgn, epp))
-    return found
+def _sign(lhs, rhs):
+    """s in {1, -1} with lhs = s * rhs exactly, else None."""
+    for s in (1, -1):
+        if np.array_equal(lhs, s * rhs):
+            return s
+    return None
 
 
 def _normalize_phase(m):
@@ -220,33 +164,43 @@ def _normalize_phase(m):
 
 def find_real_structure(p):
     """Charge-conjugation data matching the mod-8 table row; fails loudly
-    if no gamma-monomial solution reproduces the tabulated signs."""
+    if neither candidate reproduces the tabulated signs.
+
+    Every generator of the Euclidean set is real or imaginary.  The product
+    of the imaginary ones and the product of the real ones each intertwine
+    conj(g^a) with g^a up to one common sign, and by Schur's lemma every
+    such C is one of the two up to phase.  Each sign is read with one
+    exact test: C conj(C) = eps, C conj(g) = eps' g C, and for even p
+    C conj(omega) = eps'' omega C."""
     if not (1 <= p <= 8):
         raise ValueError("real structures tabulated for p = 1..8")
-    want = REAL_STRUCTURE_TABLE[p % 8]
-    gs, omega = _euclidean_set(p)
-    cands = _candidates(gs, omega)
-    for C, eps, eps_prime, epp in cands:
-        if (eps, eps_prime) == want[:2] and (p % 2 == 1 or epp == want[2]):
-            rs = RealStructure(p=p, C=C, eps=eps, eps_prime=eps_prime,
-                               eps_double_prime=epp if p % 2 == 0 else None)
-            _check_real_structure(rs, gs, omega)
-            return rs
+    gs = build_gammas(Signature(p, 0))
+    omega = chirality(gs) if p % 2 == 0 else None
+    eye = np.eye(gs.dim, dtype=complex)
+    imaginary, real = eye, eye
+    for a, g in enumerate(gs.gammas):
+        if np.array_equal(g.conj(), -g):
+            imaginary = imaginary @ g
+        elif np.array_equal(g.conj(), g):
+            real = real @ g
+        else:
+            raise AssertionError(
+                f"generator {a} is neither real nor imaginary")
+    rows = []
+    for C in (_normalize_phase(imaginary), _normalize_phase(real)):
+        eps_prime = {_sign(C @ g.conj(), g @ C) for g in gs.gammas}
+        row = (_sign(C @ C.conj(), eye),
+               eps_prime.pop() if len(eps_prime) == 1 else None,
+               None if omega is None else
+               _sign(C @ omega.conj(), omega @ C))
+        if row == REAL_STRUCTURE_TABLE[p % 8]:
+            if not np.array_equal(C @ C.conj().T, eye):
+                raise AssertionError("C not unitary")
+            return RealStructure(p, C, *row)
+        rows.append(row)
     raise ValueError(
         f"no antilinear solution matches the tabulated signs for p={p}; "
-        f"candidates found: {[(e, ep, e2) for _, e, ep, e2 in cands]}")
-
-
-def _check_real_structure(rs, gs, omega):
-    d = gs.dim
-    eye = np.eye(d, dtype=complex)
-    assert np.allclose(rs.C @ rs.C.conj(), rs.eps * eye)
-    assert np.allclose(rs.C @ rs.C.conj().T, eye), "C not unitary"
-    for g in gs.gammas:
-        assert np.allclose(rs.C @ g.conj(), rs.eps_prime * g @ rs.C)
-    if omega is not None:
-        assert np.allclose(rs.C @ omega.conj(),
-                           rs.eps_double_prime * omega @ rs.C)
+        f"candidates found: {rows}")
 
 
 def numeric_word_trace(word, p):

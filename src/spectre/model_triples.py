@@ -174,15 +174,19 @@ def torus_power_sequence(spec, power):
 
 def volume_check(model, p=None, schedule=None, spin_offset=0.0):
     """Dixmier estimate of the p-th inverse power against c(p) Vol."""
-    schedule = schedule or default_schedule()
+    if schedule is None:
+        schedule = default_schedule()
     if model == "circle":
+        if p not in (None, 1):
+            raise ValueError(f"the circle model is 1-dimensional; got p = {p}")
         spec = CircleSpec(spin_offset=spin_offset)
         seq = circle_singular_values(spec)
         est = dixmier_estimate(seq, schedule)
         expected = c_p(1) * 2 * math.pi * spec.radius
         return est, expected
     if model == "torus":
-        p = p or 2
+        if p is None:
+            p = 2
         spec = TorusSpec(p=p, radii=(1.0,) * p, offsets=(spin_offset,) * p)
         est = dixmier_estimate(torus_power_sequence(spec, float(p)), schedule)
         expected = c_p(p) * (2 * math.pi) ** p

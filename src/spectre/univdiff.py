@@ -168,7 +168,8 @@ class UniversalChain:
             self.terms.pop(word_tuple, None)
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
         out = self.copy()
         for wt, c in other.terms.items():
             out.accum(wt, c)

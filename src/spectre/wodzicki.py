@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import GQ, I, ONE
-from .symbols import (JetExhausted, SymbolExpr, _pruned, compose,
-                      perm_parity, relabel_free, sigma2_pow)
+from .symbols import (SymbolExpr, _pruned, compose, perm_parity,
+                      relabel_free, sigma2_pow)
 
 # Reserved free index used for the open slot of first-order coefficients.
 FREE_MU = 90
@@ -418,7 +418,8 @@ def _divergence_of_a(a_expr):
             raise ValueError("first-order coefficient must be a sum of "
                              "single connection/torsion factors")
         kind, idx = mat[0][0], mat[0][1]
-        assert idx == FREE_MU
+        if idx != FREE_MU:
+            raise AssertionError(f"open slot {idx} is not FREE_MU")
         out._accum(spow, tens, ((deriv_kind[kind], -1, -1),), c)
     return out
 
@@ -551,7 +552,9 @@ def spinor_trace_poly(expr):
         tens, mat = relabel_free(tens, mat)
         labels = []
         for f in mat:
-            assert f[0] == 'g'
+            if f[0] != 'g':
+                raise AssertionError(f"non-gamma factor {f[0]!r} left "
+                                     "to trace")
             labels.append(f[1])
         pre = SymbolExpr.mono(coeff=c, spow=spow, tens=tens)
         out = _add_trace_polys(out, tuple(

@@ -400,6 +400,15 @@ def test_volume_circle_matches_golden_output(capsys):
     assert out.encode("utf-8") == (GOLDEN / "volume_circle.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["clifford-table"], "clifford_table.json"),
+    (["hochschild", "--seed", "0"], "hochschild_seed0.json")])
+def test_json_matches_golden_output(capsys, argv, name):
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 def test_wres_sweep_in_one_process_matches_goldens(capsys):
     """The power chain and the traced group are built once per process
     and serve every p; a sweep that builds them for p = 12 and then

@@ -111,26 +111,101 @@ def test_real_structure_constraints_hold():
             assert np.allclose(rs.C @ ga.conj(), rs.eps_prime * ga @ rs.C)
 
 
+def _scalar_of(m):
+    """c with m = c * Id, else None."""
+    c = m[0, 0]
+    if np.array_equal(m, c * np.eye(m.shape[0], dtype=complex)):
+        return c
+    return None
+
+
+def _searched_real_structures(p):
+    """The reference search: every product of distinct generators, in
+    construction order, with sign +1 before -1, kept when C conj(g) =
+    s g C for every generator and C conj(C) is +-1; C is phase-normalized
+    and eps'' read through matrix inverses.  Rows (C, eps, eps', eps'')."""
+    gs = cl.build_gammas(cl.Signature(p, 0))
+    omega = cl.chirality(gs) if p % 2 == 0 else None
+    monomials = [np.eye(gs.dim, dtype=complex)]
+    for g in gs.gammas:
+        monomials += [m @ g for m in monomials]
+    found = []
+    for m in monomials:
+        eps = _scalar_of(m @ m.conj())
+        for sgn in (1, -1):
+            if eps not in (1, -1) or not all(
+                    np.array_equal(m @ g.conj(), sgn * (g @ m))
+                    for g in gs.gammas):
+                continue
+            C = cl._normalize_phase(m)
+            epp = None
+            if omega is not None:
+                val = _scalar_of(np.linalg.inv(omega) @ C @ omega.conj()
+                                 @ np.linalg.inv(C))
+                epp = int(val.real) if val is not None else None
+            found.append((C, int(eps.real), sgn, epp))
+    return gs, found
+
+
 def test_real_structure_candidates_match_the_direct_search():
-    """The candidates, in order: gamma monomials in construction order,
-    sign +1 before -1, each sign checked against every generator."""
+    """Every C the 2^p search finds is, up to phase, the product of the
+    imaginary or of the real generators, and find_real_structure returns
+    exactly the search's first candidate that meets the table."""
     for p in range(1, 9):
-        gs = cl.build_gammas(cl.Signature(p, 0))
-        monomials = cl._gamma_monomials(gs)
-        want = [(m, sgn) for _, m in monomials for sgn in (1, -1)
-                if all(np.array_equal(m @ g.conj(), sgn * (g @ m))
-                       for g in gs.gammas)
-                and cl._scalar_of(m @ m.conj()) in (1, -1)]
-        got = cl.real_structure_candidates(p)
-        assert len(got) == len(want), p
-        for (C, _, sgn, _), (m, s) in zip(got, want):
-            assert sgn == s
-            assert np.array_equal(C, cl._normalize_phase(m))
+        gs, found = _searched_real_structures(p)
+        imaginary = [g for g in gs.gammas if np.array_equal(g.conj(), -g)]
+        real = [g for g in gs.gammas if np.array_equal(g.conj(), g)]
+        products = [cl._normalize_phase(functools.reduce(
+            np.matmul, gens, np.eye(gs.dim, dtype=complex)))
+            for gens in (imaginary, real)]
+        assert found, p
+        for C, *_ in found:
+            assert any(np.array_equal(C, m) for m in products), p
+        want = next(row for row in found
+                    if row[1:] == cl.REAL_STRUCTURE_TABLE[p % 8])
+        rs = cl.find_real_structure(p)
+        assert np.array_equal(rs.C, want[0]), p
+        assert (rs.eps, rs.eps_prime, rs.eps_double_prime) == want[1:], p
+
+
+def test_real_structure_without_a_matching_candidate(monkeypatch):
+    monkeypatch.setitem(cl.REAL_STRUCTURE_TABLE, 4, (1, 1, 1))
+    with pytest.raises(ValueError, match=(
+            r"tabulated signs for p=4; "
+            r"candidates found: \[\(-1, 1, 1\), \(-1, -1, 1\)\]")):
+        cl.find_real_structure(4)
+
+
+def test_real_structure_needs_real_or_imaginary_generators(monkeypatch):
+    monkeypatch.setattr(cl, "build_gammas", lambda sig: cl.GammaSet(
+        sig, [np.array([[1 + 1j]])]))
+    with pytest.raises(AssertionError, match="neither real nor imaginary"):
+        cl.find_real_structure(1)
 
 
 def test_real_structure_out_of_range():
     with pytest.raises(ValueError):
         cl.find_real_structure(9)
+
+
+def test_gamma_checks_survive_optimized_mode():
+    """The construction's self-checks are explicit raises, so python -O
+    still refuses a gamma set whose anticommutators fail."""
+    src = str(pathlib.Path(cl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys, spectre.clifford as cl\n"
+            "good = cl._euclidean_gammas\n"
+            "cl._euclidean_gammas = lambda p: [good(p)[0]] * p\n"
+            "try:\n"
+            "    cl.build_gammas(cl.Signature(4, 0))\n"
+            "except AssertionError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.strip() == "1 anticommutator (0,1) violated"
 
 
 def test_matrix_size_guard():

@@ -68,6 +68,25 @@ def test_circle_volume_estimate():
     assert abs(est.value / expected - 1) < 0.02
 
 
+@pytest.mark.parametrize("model, kwargs, text", [
+    ("torus", {"p": 0}, "torus dimension"),
+    ("circle", {"p": 3}, "1-dimensional"),
+    ("circle", {"schedule": []}, "at least 3 points"),
+    ("torus", {"schedule": []}, "at least 3 points"),
+])
+def test_volume_check_refuses_what_it_cannot_run(model, kwargs, text):
+    """Only None takes a default: p = 0 and an empty schedule are refused,
+    and the circle takes no dimension but its own."""
+    with pytest.raises(ValueError, match=text):
+        mt.volume_check(model, **kwargs)
+
+
+def test_circle_volume_check_takes_its_own_dimension():
+    sched = [10, 100, 1000]
+    assert mt.volume_check("circle", p=1, schedule=sched) == \
+        mt.volume_check("circle", schedule=sched)
+
+
 def test_torus_first_run():
     seq = mt.torus_singular_values(mt.TorusSpec())
     v, c = seq.runs(50)

@@ -94,6 +94,36 @@ def test_wres_runs_without_numpy():
     assert out.split() == ["0", "False"]
 
 
+def _sources():
+    return sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
+
+
+@pytest.mark.parametrize("path", _sources(), ids=lambda path: path.name)
+def test_every_import_is_read(path):
+    """A name a module imports is read somewhere in that module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert imported - read == set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_assert_statement_in_the_package(path):
+    """python -O strips assert statements; the package's checks raise."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
 def test_benchmark_targets_resolve():
     """perfbench wraps spectre's functions by dotted name and records
     `_kernels.IMPL`; a rename under src/ must fail here, not in the

@@ -1,7 +1,6 @@
 """Residue calculus: parametrix goldens, recursions, cosphere moments,
 torsion traces and the assembled action."""
 
-import random
 from fractions import Fraction
 
 import numpy as np
