@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,16 @@ def circle_singular_values(spec):
 MAX_TORUS_P = 4
 
 
+def _torus_dimension(p):
+    """p as an int in 2..MAX_TORUS_P, if `operator.index` takes it."""
+    try:
+        if 2 <= operator.index(p) <= MAX_TORUS_P:
+            return operator.index(p)
+    except TypeError:
+        pass
+    raise ValueError(f"torus dimension 2..{MAX_TORUS_P}")
+
+
 @dataclass
 class TorusSpec:
     p: int = 2
@@ -75,8 +86,7 @@ class TorusSpec:
     offsets: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (2 <= self.p <= MAX_TORUS_P):
-            raise ValueError(f"torus dimension 2..{MAX_TORUS_P}")
+        _torus_dimension(self.p)
         if len(self.radii) != self.p or len(self.offsets) != self.p:
             raise ValueError("radii/offsets length must equal p")
         if not all(math.isfinite(r) and r > 0 for r in self.radii):
@@ -185,8 +195,7 @@ def volume_check(model, p=None, schedule=None, spin_offset=0.0):
         expected = c_p(1) * 2 * math.pi * spec.radius
         return est, expected
     if model == "torus":
-        if p is None:
-            p = 2
+        p = _torus_dimension(2 if p is None else p)
         spec = TorusSpec(p=p, radii=(1.0,) * p, offsets=(spin_offset,) * p)
         est = dixmier_estimate(torus_power_sequence(spec, float(p)), schedule)
         expected = c_p(p) * (2 * math.pi) ** p

@@ -1,7 +1,7 @@
 """Universal differential algebra and Hochschild complex over small model
 algebras, with the induced commutator representation and junk forms.
 
-Chains are exact: a degree-n chain is a rational linear combination of
+Chains are exact: a degree-n chain is an integer linear combination of
 word tuples (w0, w1, ..., wn), normal form C_n = A (x) Abar^n (a unit in
 any slot past the first kills the term).  In both models a word is an int,
 the power of one generator, so words multiply by addition and the unit
@@ -147,7 +147,7 @@ class UniversalChain:
     """Formal sum of elementary tensors over a model's word basis."""
     model: object
     degree: int
-    terms: dict = field(default_factory=dict)   # tuple(words) -> Fraction
+    terms: dict = field(default_factory=dict)   # word tuple -> int or Fraction
 
     def copy(self):
         return UniversalChain(self.model, self.degree, dict(self.terms))
@@ -160,8 +160,7 @@ class UniversalChain:
         # reduced complex: a unit in any differential slot kills the term
         if self.model.unit in word_tuple[1:]:
             return
-        cur = self.terms.get(word_tuple)
-        new = coeff if cur is None else cur + coeff
+        new = self.terms.get(word_tuple, 0) + coeff
         if new:
             self.terms[word_tuple] = new
         else:
@@ -182,12 +181,14 @@ class UniversalChain:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
+        if not isinstance(other, UniversalChain):
+            return NotImplemented
         return (self.degree == other.degree and self.terms == other.terms)
 
 
@@ -196,7 +197,7 @@ def chain(model, *word_tuples):
         raise ValueError("empty chain needs an explicit degree")
     out = UniversalChain(model, len(word_tuples[0]) - 1)
     for wt in word_tuples:
-        out.accum(tuple(wt), Fraction(1))
+        out.accum(tuple(wt), 1)
     return out
 
 
@@ -292,7 +293,7 @@ def random_chain(model, degree, rng, nterms=3):
         for _ in range(nterms):
             wt = [rng.choice(words)] + [rng.choice(slot_words)
                                         for _ in range(degree)]
-            out.accum(tuple(wt), Fraction(rng.choice((-3, -2, -1, 1, 2, 3))))
+            out.accum(tuple(wt), rng.choice((-3, -2, -1, 1, 2, 3)))
         if out.terms:
             return out
 
@@ -313,9 +314,7 @@ def represent(c):
         for w in wt[1:]:
             pw = m.pi(w)
             acc = acc @ (m.D @ pw - pw @ m.D)
-        # an integral coefficient keeps the weights cheap Python ints
-        k = coeff.numerator if coeff.denominator == 1 else coeff
-        out = out + k * acc
+        out = out + coeff * acc
     return out
 
 
@@ -402,7 +401,7 @@ def junk_basis(model, degree=2):
     in degree-1 forms, computed by exact linear algebra on the window.
     Each monomial's window row carries the tag column top + k past the
     window's columns; the reduced rows with no window part left are the
-    pi-kernel chains, their tags the monomials' coefficients."""
+    pi-kernel chains, their tags the monomials' rational coefficients."""
     if degree != 2:
         raise ValueError("junk computed in degree 2")
     words = model.words()

@@ -46,6 +46,45 @@ def test_hochschild_suite(capsys):
     assert set(payload["models"]) == {"circle", "diagonal"}
 
 
+def _doubled_in_degree(degree):
+    """A wrong operation: the right chain, doubled when the first argument
+    has the given degree."""
+    def make(op):
+        def wrong(c, *rest):
+            out = op(c, *rest)
+            return out.scale(2) if c.degree == degree else out
+        return wrong
+    return make
+
+
+def _always_false(op):
+    return lambda *args: False
+
+
+@pytest.mark.parametrize("owner, name, make_wrong, failing", [
+    (univdiff.UniversalChain, "is_zero", _always_false, {"b_squared"}),
+    (univdiff, "delta", _doubled_in_degree(3), {"homotopy"}),
+    (univdiff, "sigma_op", _doubled_in_degree(2), {"cycles", "homotopy"}),
+    (univdiff, "chain_mul", _doubled_in_degree(1), {"leibniz"}),
+    (univdiff, "window_is_zero", _always_false, {"pi_b_zero"}),
+], ids=["b_squared", "homotopy", "cycles", "leibniz", "pi_b_zero"])
+def test_hochschild_reports_a_failing_check(capsys, monkeypatch, owner, name,
+                                            make_wrong, failing):
+    """One univdiff operation made wrong turns false exactly the checks
+    that use it, on both models (only the homotopy check takes delta of a
+    degree-3 chain; sigma serves the homotopy and cycle checks alike); the
+    run still prints schema-valid JSON and exits 1."""
+    monkeypatch.setattr(owner, name, make_wrong(getattr(owner, name)))
+    rc, out = run(capsys, ["hochschild", "--seed", "0", "--chains", "5"])
+    assert rc == 1
+    payload = json.loads(out)
+    validate(payload, "hochschild")
+    assert payload["pass"] is False
+    assert set(payload["models"]) == {"circle", "diagonal"}
+    for checks in payload["models"].values():
+        assert {k for k, ok in checks.items() if not ok} == failing
+
+
 def test_dixmier_builtin_and_csv(capsys, tmp_path):
     rc, out = run(capsys, ["dixmier", "--seq", "harmonic",
                            "--schedule", "10000,100000,1000000"])

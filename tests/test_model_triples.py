@@ -81,6 +81,26 @@ def test_volume_check_refuses_what_it_cannot_run(model, kwargs, text):
         mt.volume_check(model, **kwargs)
 
 
+@pytest.mark.parametrize("p", [2.0, 2.5, "2"])
+def test_torus_spec_refuses_a_dimension_that_is_not_an_index(p):
+    """A dimension that `operator.index` refuses gets the dimension's own
+    error; a float 2.0 would make float multiplicities 2 ** (p // 2)."""
+    with pytest.raises(ValueError, match="torus dimension 2..4"):
+        mt.TorusSpec(p=p)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, "2"])
+def test_volume_check_refuses_a_dimension_that_is_not_an_index(p):
+    """The same error, raised before `(1.0,) * p` can fail on it."""
+    with pytest.raises(ValueError, match="torus dimension 2..4"):
+        mt.volume_check("torus", p=p, schedule=[10, 100, 1000])
+
+
+def test_torus_dimension_takes_any_index():
+    spec = mt.TorusSpec(p=np.int64(3), radii=(1.0,) * 3, offsets=(0.0,) * 3)
+    assert mt.torus_singular_values(spec).runs(10)[1].dtype == np.int64
+
+
 def test_circle_volume_check_takes_its_own_dimension():
     sched = [10, 100, 1000]
     assert mt.volume_check("circle", p=1, schedule=sched) == \

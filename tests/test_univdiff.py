@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectre import univdiff as ud
 
@@ -37,6 +38,35 @@ def test_random_chains_are_never_zero():
         for deg in (1, 2, 3):
             for _ in range(2000):
                 assert not ud.random_chain(model, deg, rng).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from([CIRCLE, DIAG]), degree=st.integers(0, 3),
+       nterms=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_chains_stay_integral(model, degree, nterms, seed):
+    """Every chain the suite builds has Python-int coefficients, whatever
+    operation made it, and so has the representation of each one small
+    enough to represent."""
+    rng = random.Random(seed)
+    c = ud.random_chain(model, degree, rng, nterms=nterms)
+    other = ud.random_chain(model, degree, rng, nterms=nterms)
+    chains = [c, ud.chain(model, *c.terms), ud.delta(c), ud.sigma_op(c),
+              ud.chain_star(c), c + other, c - other, c.scale(-1)]
+    if degree >= 1:
+        chains.append(ud.hochschild_b(c))
+    for ch in chains + [ud.chain_mul(c, other)]:
+        assert all(type(x) is int for x in ch.terms.values())
+    for ch in chains:
+        assert all(type(x) is int
+                   for w in ud.represent(ch).terms.values() for x in w)
+
+
+def test_chain_equality_with_a_non_chain():
+    c = ud.chain(CIRCLE, (1, 2))
+    assert not c == 0
+    assert c != 0
+    assert c != "x"
+    assert c == ud.chain(CIRCLE, (1, 2))
 
 
 def test_random_chain_refuses_fewer_than_one_term():
@@ -283,7 +313,8 @@ def test_omega1_form_matches_dense_trace():
             tr = sum(d[a][k, i] * d[b][k, i]
                      for i in CIRCLE.window for k in range(CIRCLE.n))
             want = Fraction(tr, len(CIRCLE.window))
-            assert ud.omega1_form(CIRCLE, a, b) == want
+            got = ud.omega1_form(CIRCLE, a, b)
+            assert got == want and type(got) is Fraction
 
 
 def test_represent_is_a_star_homomorphism_on_the_full_matrix():
