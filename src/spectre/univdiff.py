@@ -6,9 +6,11 @@ word tuples (w0, w1, ..., wn), normal form C_n = A (x) Abar^n (a unit in
 any slot past the first kills the term).  In both models a word is an int,
 the power of one generator, so words multiply by addition and the unit
 is 0.  In both models pi(a) and D are weighted shifts, and so is every
-represented chain: a `WeightedShift` holds sum_s diag(w_s) P^s with exact
-integer or rational weights, so every window identity is checked with
-exact arithmetic and no dense matrix is formed.
+represented word tuple: each model's `term` gives pi(w0) [D, pi(w1)] ...
+[D, pi(wn)] in closed form as one diag(v) P^s, and `represent` sums these
+into a `WeightedShift`, sum_s diag(w_s) P^s.  The weights `src/` builds
+are Python ints, so every window identity is checked with exact
+arithmetic and no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class WeightedShift:
     """Exact n x n operator sum_s diag(w_s) P^s: the s-term holds w_s[i] at
     (i, (i + s) mod n).  Weights are object vectors of Python ints or
     Fractions, so no product can overflow.  `np.asarray` gives the dense
-    matrix."""
+    matrix.  `represent` builds integer weights directly; the operator
+    algebra (+, -, scalar * and @) is what tests build their targets with."""
 
     __array_ufunc__ = None      # numpy operands must not densify silently
 
@@ -96,10 +99,22 @@ class CircleModel:
     def star_word(self, w):
         return -w
 
+    def term(self, word_tuple):
+        """pi(w0) [D, pi(w1)] ... [D, pi(wk)] as (s, v), the one weighted
+        shift diag(v) P^s.  u^w maps e_j to e_(j+w), ones on the shift -w,
+        and [D, P^t] = diag(j - (j + t) mod n) P^t; each commutator is read
+        at the shift s reached so far."""
+        j = np.arange(self.n)
+        s = -word_tuple[0]
+        v = np.ones(self.n, dtype=object)
+        for w in word_tuple[1:]:
+            v = v * ((j + s) % self.n - (j + s - w) % self.n).astype(object)
+            s -= w
+        return s % self.n, v
+
     def pi(self, w):
-        # u^w maps e_j to e_(j+w): ones on the shift -w
-        return WeightedShift(self.n,
-                             {-w % self.n: np.ones(self.n, dtype=object)})
+        s, v = self.term((w,))
+        return WeightedShift(self.n, {s: v})
 
     def reach(self, word_tuple):
         # wrap-around contamination travels this many slots at most
@@ -129,8 +144,16 @@ class DiagonalModel:
     def star_word(self, w):
         return w
 
+    def term(self, word_tuple):
+        """pi(w0) as (0, d^w0); D commutes with every pi(w), so a tuple
+        with a differential slot represents to 0 and has no term."""
+        if len(word_tuple) > 1:
+            return None
+        return 0, self._d ** word_tuple[0]
+
     def pi(self, w):
-        return WeightedShift.diagonal(self._d ** w)
+        s, v = self.term((w,))
+        return WeightedShift(self.n, {s: v})
 
     def reach(self, word_tuple):
         return 0
@@ -303,19 +326,19 @@ def random_chain(model, degree, rng, nterms=3):
 
 def represent(c):
     """pi(a0 da1 ... dan) = pi(a0) [D, pi(a1)] ... [D, pi(an)], as a
-    WeightedShift."""
+    WeightedShift: each term's closed form from the model, summed per
+    shift."""
     m = c.model
-    out = WeightedShift(m.n)
+    terms = {}
     for wt, coeff in c.terms.items():
         if m.reach(wt) > m.margin:
             raise ValueError("chain reaches past the truncation margin; "
                              "enlarge the model")
-        acc = m.pi(wt[0])
-        for w in wt[1:]:
-            pw = m.pi(w)
-            acc = acc @ (m.D @ pw - pw @ m.D)
-        out = out + coeff * acc
-    return out
+        term = m.term(wt)
+        if term is not None:
+            s, v = term
+            terms[s] = terms.get(s, 0) + coeff * v
+    return WeightedShift(m.n, terms)
 
 
 def window_part(mat, model):
@@ -399,30 +422,28 @@ class JunkBasis:
 def junk_basis(model, degree=2):
     """Junk in the given degree: represent d(ker pi) for the kernel of pi
     in degree-1 forms, computed by exact linear algebra on the window.
-    Each monomial's window row carries the tag column top + k past the
-    window's columns; the reduced rows with no window part left are the
-    pi-kernel chains, their tags the monomials' rational coefficients."""
+    Each degree-1 monomial m gives one row: pi(m)'s window in the columns
+    below top, pi(dm)'s window from top up.  A reduced row whose pivot is
+    at or past top has no pi part left, so it is d of a kernel chain; these
+    rows, shifted down by top, are the reduced basis of pi(d ker pi)."""
     if degree != 2:
         raise ValueError("junk computed in degree 2")
     words = model.words()
     monos = [(a, b) for a in words for b in words if b != model.unit]
     side = len(model.window)
     top = side * side
-    rows = [{**_sparse_row(window_part(represent(chain(model, wt)), model)),
-             top + k: Fraction(1)} for k, wt in enumerate(monos)]
-    junk_rows = []
+    rows = []
+    for wt in monos:
+        m = chain(model, wt)
+        row = _sparse_row(window_part(represent(m), model))
+        drow = _sparse_row(window_part(represent(delta(m)), model))
+        rows.append({**row, **{top + k: x for k, x in drow.items()}})
+    mats = []
     for row in _rref(rows):
         if min(row) >= top:
-            ker_chain = UniversalChain(model, 1)
-            for col, coef in row.items():
-                ker_chain.accum(monos[col - top], coef)
-            img = represent(delta(ker_chain))
-            junk_rows.append(_sparse_row(window_part(img, model)))
-    mats = []
-    for row in _rref(junk_rows):
-        mat = np.full(top, Fraction(0), dtype=object)
-        mat[list(row)] = list(row.values())
-        mats.append(mat.reshape(side, side))
+            mat = np.full(top, Fraction(0), dtype=object)
+            mat[[k - top for k in row]] = list(row.values())
+            mats.append(mat.reshape(side, side))
     return JunkBasis(matrices=mats)
 
 

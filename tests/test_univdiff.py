@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectre import univdiff as ud
+from spectre import cli, univdiff as ud
 
 
 CIRCLE = ud.CircleModel()
@@ -285,36 +285,70 @@ def _dense_represent(c):
     return out
 
 
-def test_represent_matches_dense_oracle_on_full_matrix():
+@pytest.mark.parametrize("model", [CIRCLE, ud.CircleModel(31, 8),
+                                   ud.CircleModel(60, 12), DIAG],
+                         ids=["circle", "circle-31-8", "circle-60-12",
+                              "diagonal"])
+def test_represent_matches_dense_oracle_on_full_matrix(model):
+    """The closed-form terms against the operators multiplied out in full,
+    on even and odd n; at n = 31 the margin 8 is the largest reach of a
+    degree-3 tuple, so the wrap-around rows are as full as they get."""
     rng = random.Random(7)
-    for model in (CIRCLE, DIAG):
-        dense_d, pi = _dense_model(model)
-        assert np.array_equal(np.asarray(model.D), dense_d)
-        for w in model.words():
-            assert np.array_equal(np.asarray(model.pi(w)), pi(w))
-        for deg in (0, 1, 2, 3):
-            for _ in range(8):
-                c = ud.random_chain(model, deg, rng)
-                got = np.asarray(ud.represent(c))
-                # every entry, wrap-around included, and exact types only
-                assert got.shape == (model.n, model.n)
-                assert np.array_equal(got, _dense_represent(c))
-                assert all(type(x) in (int, Fraction) for x in got.flat)
-                assert np.array_equal(ud.window_part(ud.represent(c), model),
-                                      ud.window_part(got, model))
+    dense_d, pi = _dense_model(model)
+    assert np.array_equal(np.asarray(model.D), dense_d)
+    for w in model.words():
+        assert np.array_equal(np.asarray(model.pi(w)), pi(w))
+    for deg in (0, 1, 2, 3):
+        for _ in range(3):
+            c = ud.random_chain(model, deg, rng)
+            got = np.asarray(ud.represent(c))
+            # every entry, wrap-around included, and exact types only
+            assert got.shape == (model.n, model.n)
+            assert np.array_equal(got, _dense_represent(c))
+            assert all(type(x) in (int, Fraction) for x in got.flat)
+            assert np.array_equal(ud.window_part(ud.represent(c), model),
+                                  ud.window_part(got, model))
 
 
-def test_omega1_form_matches_dense_trace():
-    d = {w: _dense_represent(ud.delta(ud.chain(CIRCLE, (w,))))
-         for w in CIRCLE.words()}
-    for a in CIRCLE.words():
-        for b in CIRCLE.words():
+@pytest.mark.parametrize("n", [7, 8])
+def test_weighted_shift_algebra_matches_dense(n):
+    """The operator algebra the tests build their targets with: @, +, -
+    and scalar * on random shifts (0 and n - 1 among them) with Python-int
+    weights give the dense results, entry for entry."""
+    rng = random.Random(n)
+
+    def random_shift():
+        shifts = {0, n - 1, *rng.sample(range(n), rng.randint(0, 2))}
+        return ud.WeightedShift(n, {s: np.array(
+            [rng.randint(-5, 5) for _ in range(n)], dtype=object)
+            for s in shifts})
+
+    for _ in range(20):
+        a, b = random_shift(), random_shift()
+        da, db = np.asarray(a), np.asarray(b)
+        k = rng.randint(-3, 3)
+        assert np.array_equal(np.asarray(a @ b), da @ db)
+        assert np.array_equal(np.asarray(a + b), da + db)
+        assert np.array_equal(np.asarray(a - b), da - db)
+        assert np.array_equal(np.asarray(k * a), k * da)
+        assert all(type(x) is int for x in np.asarray(a @ b).flat)
+
+
+@pytest.mark.parametrize("model", [CIRCLE, DIAG], ids=["circle", "diagonal"])
+def test_omega1_form_matches_dense_trace(model):
+    d = {w: _dense_represent(ud.delta(ud.chain(model, (w,))))
+         for w in model.words()}
+    for a in model.words():
+        for b in model.words():
             # ((da)^T db)[i, i] summed over the window, every row k counted
             tr = sum(d[a][k, i] * d[b][k, i]
-                     for i in CIRCLE.window for k in range(CIRCLE.n))
-            want = Fraction(tr, len(CIRCLE.window))
-            got = ud.omega1_form(CIRCLE, a, b)
+                     for i in model.window for k in range(model.n))
+            want = Fraction(tr, len(model.window))
+            got = ud.omega1_form(model, a, b)
             assert got == want and type(got) is Fraction
+            if model is DIAG:
+                # D commutes with every diagonal pi(w): no differential
+                assert got == 0
 
 
 def test_represent_is_a_star_homomorphism_on_the_full_matrix():
@@ -511,6 +545,27 @@ def test_junk_basis_matches_dense_oracle(model):
         assert g.shape == w.shape == (side, side) and g.dtype == object
         assert all(type(x) is Fraction for x in g.flat)
         assert np.array_equal(g, w)
+
+
+def test_src_represents_integer_chains_only(monkeypatch):
+    """The junk basis, the trace pairing and the Hochschild suite hand
+    `represent` chains with Python-int coefficients only: `Fraction` stays
+    in the elimination and the normalized trace."""
+    seen = []
+    represent = ud.represent
+
+    def recording(c):
+        seen.extend(type(x) for x in c.terms.values())
+        return represent(c)
+
+    monkeypatch.setattr(ud, "represent", recording)
+    for model in JUNK_MODELS:
+        ud.junk_basis(model, 2)
+    for a in CIRCLE.words():
+        for b in CIRCLE.words():
+            ud.omega1_form(CIRCLE, a, b)
+    assert cli.main(["hochschild", "--chains", "5"]) == 0
+    assert seen and set(seen) == {int}
 
 
 @pytest.mark.parametrize("model", JUNK_MODELS,
