@@ -215,7 +215,7 @@ def cmd_distance(args):
         if vertex not in verts:
             raise UsageError(f"{option}: unknown vertex {vertex!r} in "
                              f"{args.graph}")
-    d = mt.connes_distance(g, args.src, args.dst, cross_validate=True)
+    d = mt.connes_distance(g, args.src, args.dst)
     _emit({"from": args.src, "to": args.dst, "distance": d}, args.format)
     return 0
 
@@ -228,7 +228,7 @@ def cmd_wres(args):
     parity = "even" if p % 2 == 0 else "odd"
     if args.parity not in (None, parity):
         raise UsageError(f"--parity {args.parity}: p = {p} is {parity}")
-    raw = w.integrand(p, parity=parity)
+    raw = w.integrand(p)
     inv = w.cosphere_integrate(raw, p)
     payload = w.action_from_invariant(inv, p, args.torsion == "on").as_dict()
     payload["parity"] = parity

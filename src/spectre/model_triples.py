@@ -288,15 +288,13 @@ def lp_distance(graph, x, y):
     return math.ldexp(-res.fun, e)
 
 
-def connes_distance(graph, x, y, cross_validate=False):
-    """Spectral distance on the graph; shortest path is the primary
-    (exact dual) algorithm, optionally cross-validated against the
-    primal program to an absolute 1e-9."""
+def connes_distance(graph, x, y):
+    """Spectral distance on the graph: the shortest path (the exact dual),
+    checked against the primal program to an absolute 1e-9."""
     d = shortest_path_distance(graph, x, y)
-    if cross_validate:
-        lp = lp_distance(graph, x, y)
-        if abs(lp - d) > 1e-9:
-            raise AssertionError(f"primal/dual gap {lp} vs {d}")
+    lp = lp_distance(graph, x, y)
+    if abs(lp - d) > 1e-9:
+        raise AssertionError(f"primal/dual gap {lp} vs {d}")
     return d
 
 

@@ -211,23 +211,12 @@ def _canon_cached(spow, tens, mat):
     """
     tens, mat = _resolve_deltas(tens, mat)
 
-    # xi_i xi_i pairs are the squared norm itself
-    tens = list(tens)
-    changed = True
-    while changed:
-        changed = False
-        seen = {}
-        for pos, f in enumerate(tens):
-            if f[0] != 'xi':
-                continue
-            if f[1] in seen:
-                other = seen[f[1]]
-                for q in sorted((pos, other), reverse=True):
-                    tens.pop(q)
-                spow = spow + 1
-                changed = True
-                break
-            seen[f[1]] = pos
+    # xi_i xi_i pairs are the squared norm itself; a label occurs at most
+    # twice, so one seen twice among the xi factors is a pair
+    xi = [f[1] for f in tens if f[0] == 'xi']
+    pairs = {i for i in xi if xi.count(i) == 2}
+    tens = [f for f in tens if f[0] != 'xi' or f[1] not in pairs]
+    spow = spow + len(pairs)
 
     counts = {}
     for f in tens + list(mat):
@@ -409,9 +398,6 @@ class SymbolExpr:
 
     def __eq__(self, other):
         return isinstance(other, SymbolExpr) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
     def xi_degree_parts(self):
         """Map xi-homogeneity degree -> sub-expression (x factors count 0)."""

@@ -174,35 +174,21 @@ def abs_symbol():
 # ----------------------------------------------------------------------
 # the order-(-p) integrand
 
-def integrand(p, parity=None):
-    """sigma_{-p} of |D|^(2-p) at the base point (norm powers intact)."""
+def integrand(p):
+    """sigma_{-p} of |D|^(2-p) at the base point (norm powers intact): a
+    grade of the power chain for even p, its composition with |D| for odd
+    p, and zero for p = 2."""
     _check_p(p)
-    if parity is None:
-        parity = 'even' if p % 2 == 0 else 'odd'
-    if parity == 'even':
-        if p % 2 or p < 2:
-            raise ValueError("even path needs even p >= 2")
-        if p == 2:
-            return SymbolExpr()
-        return power_symbol((p - 2) // 2).grade(-p).at_base()
-    if parity == 'odd':
-        if p % 2 == 0 or p < 3:
-            raise ValueError("odd path needs odd p >= 3")
-        s1, s0, sm1 = abs_symbol()
-        out = compose(s1 + s0 + sm1, power_symbol((p - 1) // 2), cutoff=-p,
-                      drop=_curvature_budget)
-        return out.grade(-p).at_base()
-    raise ValueError(f"unknown parity {parity!r}")
-
-
-def integrand_even_shortcut(p):
-    """Even integrand through the closed-form recursion solution."""
-    _check_p(p)
-    if p % 2 or p < 2:
-        raise ValueError("even shortcut needs even p >= 2")
+    if p < 2:
+        raise ValueError("the integrand needs p >= 2")
     if p == 2:
         return SymbolExpr()
-    return closed_form_inverse_power((p - 2) // 2)
+    if p % 2 == 0:
+        return power_symbol((p - 2) // 2).grade(-p).at_base()
+    s1, s0, sm1 = abs_symbol()
+    out = compose(s1 + s0 + sm1, power_symbol((p - 1) // 2), cutoff=-p,
+                  drop=_curvature_budget)
+    return out.grade(-p).at_base()
 
 
 # ----------------------------------------------------------------------
@@ -613,21 +599,11 @@ class GravityAction:
         }
 
 
-def gravity_action(p, torsion=True, path=None):
+def gravity_action(p, torsion=True):
     """Coefficients of the curvature and squared-torsion terms of the
     residue of |D|^(2-p), as exact rational multiples of c(p)."""
-    _check_p(p)
-    if p < 2:
-        raise ValueError("gravity action needs p >= 2")
-    if p == 2:
-        return action_from_invariant(None, p, torsion)
-    if path is None:
-        path = 'even' if p % 2 == 0 else 'odd'
-    if path == 'shortcut':
-        raw = integrand_even_shortcut(p)
-    else:
-        raw = integrand(p, parity=path)
-    return action_from_invariant(cosphere_integrate(raw, p), p, torsion)
+    return action_from_invariant(cosphere_integrate(integrand(p), p), p,
+                                 torsion)
 
 
 def action_from_invariant(inv, p, torsion=True):
@@ -644,8 +620,4 @@ def action_from_invariant(inv, p, torsion=True):
 def quadratic_form_coeff(p):
     """Coefficient of the positive quadratic form in the torsion
     components, as a rational multiple of c(p)."""
-    if p < 2:
-        raise ValueError("the quadratic form needs p >= 2")
-    if p == 2:
-        return Fraction(0)
     return gravity_action(p, torsion=True).coeff_t2

@@ -407,8 +407,9 @@ def test_wres_p2_has_no_action_terms(capsys):
 
 
 @pytest.mark.parametrize(
-    "p, torsion", [(p, "on") for p in range(3, 13)] + [(12, "off")],
-    ids=[str(p) for p in range(3, 13)] + ["12-torsion-off"])
+    "p, torsion",
+    [(p, "on") for p in range(2, 13)] + [(2, "off"), (12, "off")],
+    ids=[str(p) for p in range(2, 13)] + ["2-torsion-off", "12-torsion-off"])
 def test_wres_matches_golden_output(capsys, p, torsion):
     rc, out = run(capsys, ["wres", "--p", str(p), "--torsion", torsion])
     assert rc == 0

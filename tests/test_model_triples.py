@@ -334,7 +334,7 @@ def test_spin_structure_invariance_of_volume():
 
 def test_distance_single_edge():
     g = mt.MetricGraph([0, 1], [(0, 1, 1.0)])
-    assert mt.connes_distance(g, 0, 1, cross_validate=True) == \
+    assert mt.connes_distance(g, 0, 1) == \
         pytest.approx(1.0, abs=1e-12)
 
 
@@ -342,13 +342,13 @@ def test_distance_four_cycle():
     q = math.pi / 2
     g = mt.MetricGraph([0, 1, 2, 3],
                        [(0, 1, q), (1, 2, q), (2, 3, q), (3, 0, q)])
-    assert mt.connes_distance(g, 0, 2, cross_validate=True) == \
+    assert mt.connes_distance(g, 0, 2) == \
         pytest.approx(math.pi, abs=1e-12)
 
 
 def test_distance_discretized_circle():
     g = mt.discretized_circle(200)
-    d = mt.connes_distance(g, 0, 100, cross_validate=True)
+    d = mt.connes_distance(g, 0, 100)
     assert abs(d - math.pi) <= math.pi / 200
 
 
@@ -364,7 +364,7 @@ def test_distance_ignores_self_loops():
     # |a(u) - a(u)| <= l bounds nothing; it must not become |a(u)| <= l
     g = mt.MetricGraph(["a", "b"], [("a", "b", 1.0), ("b", "b", 0.25)])
     assert mt.lp_distance(g, "b", "a") == pytest.approx(1.0, abs=1e-12)
-    assert mt.connes_distance(g, "a", "b", cross_validate=True) == 1.0
+    assert mt.connes_distance(g, "a", "b") == 1.0
 
 
 def test_lp_constraints_are_sparse(monkeypatch):

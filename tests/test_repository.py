@@ -124,6 +124,65 @@ def test_no_assert_statement_in_the_package(path):
     assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
 
 
+# parameters no body reads, each with the reason it stays
+UNREAD_PARAMETERS = {
+    # perfbench passes it; it goes with the next change to the benchmark
+    ("model_triples", "torus_singular_values", "max_terms"),
+    # the NumPy array protocol passes both
+    ("univdiff", "WeightedShift.__array__", "dtype"),
+    ("univdiff", "WeightedShift.__array__", "copy"),
+    # the model interface: the circle's reach reads the word tuple
+    ("univdiff", "DiagonalModel.reach", "word_tuple"),
+}
+
+
+def _unread_parameters(module):
+    """(module, qualified name, parameter) for every parameter of a
+    function or lambda that its body never reads; a method's first
+    parameter (self or cls) is not counted."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", True)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args]
+                if in_class and not isinstance(child, ast.Lambda):
+                    params = params[1:]
+                params += [a.arg for a in args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a]
+                body = child.body if isinstance(child.body, list) \
+                    else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                found.update((module, name, p) for p in params
+                             if p not in read)
+                visit(child, name + ".", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return found
+
+
+def test_every_parameter_is_read():
+    """North star 2, no settings that do nothing: a parameter of a
+    function in src/spectre that its body never reads changes no result."""
+    found = set().union(*(_unread_parameters(m) for m in LAYERS))
+    assert found == UNREAD_PARAMETERS, (
+        "a parameter no body reads should go; if it must stay, add it "
+        "with its reason to UNREAD_PARAMETERS in tests/test_repository.py "
+        f"(unread now: {sorted(found - UNREAD_PARAMETERS)}; listed but "
+        f"read or gone: {sorted(UNREAD_PARAMETERS - found)})")
+
+
 def test_benchmark_targets_resolve():
     """perfbench wraps spectre's functions by dotted name and records
     `_kernels.IMPL`; a rename under src/ must fail here, not in the

@@ -69,6 +69,9 @@ def test_antisymmetric_self_contraction_vanishes():
 def test_xi_pair_becomes_norm_power():
     e = mono(tens=(('xi', 1000), ('xi', 1000)))
     assert e.terms == {(Fraction(1), (), ()): ONE}
+    # an expression compares by its mutable terms, so it has no hash
+    with pytest.raises(TypeError):
+        hash(SymbolExpr())
 
 
 def test_delta_trace_is_left_to_the_gamma_trace():

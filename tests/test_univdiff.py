@@ -261,28 +261,48 @@ def test_margin_guard():
 # object entries, multiplied out in full
 
 def _dense_model(model):
-    """The model's D and pi(word) as dense object matrices."""
+    """The model's D, pi(w) and [D, pi(w)] for every word w, as dense
+    object matrices: on the circle pi(w) = u^w, u the cyclic shift
+    e_j -> e_(j+1), is the identity with its rows rolled by w."""
     n = model.n
     if isinstance(model, ud.CircleModel):
-        # u: the cyclic shift e_j -> e_(j+1)
-        u = np.roll(np.eye(n, dtype=np.int64), -1, axis=0).T.astype(object)
+        eye = np.eye(n, dtype=np.int64)
         d = np.diag(range(n)).astype(object)
-        return d, lambda w: np.linalg.matrix_power(u, w % n)
-    a = np.diag([i % 3 - 1 for i in range(n)]).astype(object)
-    d = np.diag(range(1, n + 1)).astype(object)
-    return d, lambda w: np.linalg.matrix_power(a, w)
+        pi = {w: np.roll(eye, w, axis=0).astype(object)
+              for w in model.words()}
+    else:
+        a = [i % 3 - 1 for i in range(n)]
+        d = np.diag(range(1, n + 1)).astype(object)
+        pi = {w: np.diag([x ** w for x in a]).astype(object)
+              for w in model.words()}
+    return d, pi, {w: d @ pw - pw @ d for w, pw in pi.items()}
 
 
-def _dense_represent(c):
-    dense_d, pi = _dense_model(c.model)
-    out = np.zeros(dense_d.shape, dtype=object)
+def _dense_represent(c, dense):
+    _, pi, comm = dense
+    out = np.zeros((c.model.n,) * 2, dtype=object)
     for wt, coeff in c.terms.items():
-        acc = pi(wt[0])
+        acc = pi[wt[0]]
         for w in wt[1:]:
-            pw = pi(w)
-            acc = acc @ (dense_d @ pw - pw @ dense_d)
+            acc = acc @ comm[w]
         out = out + coeff * acc
     return out
+
+
+def test_dense_model_powers_match_matrix_power():
+    """The oracle's closed-form pi(w) is the |w|-th matrix power of its
+    generator (of u^-1 = u^T for w < 0), for every word with |w| <= 2."""
+    for model in (CIRCLE, ud.CircleModel(31, 8), DIAG):
+        _, pi, _ = _dense_model(model)
+        if isinstance(model, ud.CircleModel):
+            # u, the cyclic shift e_j -> e_(j+1)
+            gen = np.roll(np.eye(model.n, dtype=np.int64), -1, axis=0).T
+        else:
+            gen = np.diag([i % 3 - 1 for i in range(model.n)])
+        for w in model.words():
+            if abs(w) <= 2:
+                assert np.array_equal(pi[w], np.linalg.matrix_power(
+                    gen if w >= 0 else gen.T, abs(w)))
 
 
 @pytest.mark.parametrize("model", [CIRCLE, ud.CircleModel(31, 8),
@@ -294,17 +314,18 @@ def test_represent_matches_dense_oracle_on_full_matrix(model):
     on even and odd n; at n = 31 the margin 8 is the largest reach of a
     degree-3 tuple, so the wrap-around rows are as full as they get."""
     rng = random.Random(7)
-    dense_d, pi = _dense_model(model)
+    dense = _dense_model(model)
+    dense_d, pi, _ = dense
     assert np.array_equal(np.asarray(model.D), dense_d)
     for w in model.words():
-        assert np.array_equal(np.asarray(model.pi(w)), pi(w))
+        assert np.array_equal(np.asarray(model.pi(w)), pi[w])
     for deg in (0, 1, 2, 3):
-        for _ in range(3):
+        for _ in range(8):
             c = ud.random_chain(model, deg, rng)
             got = np.asarray(ud.represent(c))
             # every entry, wrap-around included, and exact types only
             assert got.shape == (model.n, model.n)
-            assert np.array_equal(got, _dense_represent(c))
+            assert np.array_equal(got, _dense_represent(c, dense))
             assert all(type(x) in (int, Fraction) for x in got.flat)
             assert np.array_equal(ud.window_part(ud.represent(c), model),
                                   ud.window_part(got, model))
@@ -336,7 +357,8 @@ def test_weighted_shift_algebra_matches_dense(n):
 
 @pytest.mark.parametrize("model", [CIRCLE, DIAG], ids=["circle", "diagonal"])
 def test_omega1_form_matches_dense_trace(model):
-    d = {w: _dense_represent(ud.delta(ud.chain(model, (w,))))
+    dense = _dense_model(model)
+    d = {w: _dense_represent(ud.delta(ud.chain(model, (w,))), dense)
          for w in model.words()}
     for a in model.words():
         for b in model.words():
