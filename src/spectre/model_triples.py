@@ -1,5 +1,6 @@
 """Analytic spectra of canonical commutative geometries, the volume
-constant, and the spectral distance as a linear program on metric graphs.
+constant, and the spectral distance on metric graphs: a linear program,
+solved by its dual, the shortest path, and proved by weak duality.
 """
 
 from __future__ import annotations
@@ -226,11 +227,16 @@ class MetricGraph:
         return self._adj[v]
 
 
-def shortest_path_distance(graph, x, y):
-    """Dijkstra; the exact dual of the gradient-constraint program."""
+def _shortest_path_tree(graph, x, y):
+    """Dijkstra from x, stopped when y is settled.  Returns the labels it
+    set and, for each labelled vertex but x, the edge that set its label
+    last, as (predecessor, length); so label(v) is the float sum
+    label(predecessor) + length, and every label is at most label(y) for
+    a settled vertex and at least label(y) for any other."""
     if x not in graph._adj or y not in graph._adj:
         raise ValueError("unknown vertex")
     dist = {x: 0.0}
+    pred = {}
     heap = [(0.0, x)]
     seen = set()
     while heap:
@@ -241,14 +247,22 @@ def shortest_path_distance(graph, x, y):
         if u == y:
             if d == math.inf:
                 raise ValueError("shortest path length overflows float64")
-            return d
+            return dist, pred
         for v, l in graph.adjacency(u):
             nd = d + l      # inf past float64's range, still reachable
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
+                pred[v] = (u, l)
                 heapq.heappush(heap, (nd, v))
     raise ValueError("vertices are not connected: the supremum is "
                      "unbounded")
+
+
+def shortest_path_distance(graph, x, y):
+    """Dijkstra; the exact dual of the gradient-constraint program.  Its
+    value is the one `connes_distance` certifies and returns."""
+    dist, _ = _shortest_path_tree(graph, x, y)
+    return dist[y]
 
 
 def lp_distance(graph, x, y):
@@ -289,12 +303,49 @@ def lp_distance(graph, x, y):
 
 
 def connes_distance(graph, x, y):
-    """Spectral distance on the graph: the shortest path (the exact dual),
-    checked against the primal program to an absolute 1e-9."""
-    d = shortest_path_distance(graph, x, y)
-    lp = lp_distance(graph, x, y)
-    if abs(lp - d) > 1e-9:
-        raise AssertionError(f"primal/dual gap {lp} vs {d}")
+    """Spectral distance on the graph: the shortest path D = dist[y] from
+    one Dijkstra run (the exact dual of the gradient-constraint program),
+    returned with its proof by weak duality, checked in O(edges): the
+    potential a(v) = D - min(dist(v), D) meets every edge constraint, and
+    the predecessor path from y back to x is a path of the graph of length
+    D.  A failed proof raises ValueError."""
+    dist, pred = _shortest_path_tree(graph, x, y)
+    d = dist[y]
+
+    def fail(why):
+        raise ValueError(f"distance certificate failed: {why}")
+
+    # primal: a is feasible, with a(x) - a(y) = D.  For settled u and v
+    # the test is Dijkstra's own relaxation dist[v] <= dist[u] + l, and a
+    # vertex never settled (never labelled, or labelled at least D) reads
+    # D, so a(v) = 0; the float operations are Dijkstra's, so no tolerance.
+    # u's label needs no clamp: at or above D the test holds either way
+    if dist.get(x) != 0.0:
+        fail(f"the label of {x!r} is {dist.get(x)!r}, not 0")
+    for u, edges in graph._adj.items():
+        du = dist.get(u, d)
+        for v, l in edges:
+            if min(dist.get(v, d), d) > du + l:
+                fail(f"the potential breaks the edge {u!r}-{v!r} of "
+                     f"length {l!r}")
+    # dual: the predecessor path is a unit flow from x to y, its length an
+    # upper bound.  D summed its lengths one rounding at a time, each
+    # partial sum at most D, and fsum rounds once: they differ by at most
+    # one half-ulp per edge
+    lengths = []
+    v = y
+    while v != x:
+        if v not in pred or len(lengths) == len(pred):
+            fail(f"no predecessor path from {y!r} back to {x!r}")
+        u, l = pred[v]
+        if (u, l) not in graph.adjacency(v):
+            fail(f"{u!r}-{v!r} of length {l!r} is not an edge")
+        lengths.append(l)
+        v = u
+    total = math.fsum(lengths)
+    if abs(total - d) > len(lengths) * math.ulp(max(total, d)) / 2:
+        fail(f"the path from {x!r} to {y!r} has length {total!r}, "
+             f"not {d!r}")
     return d
 
 

@@ -3,10 +3,12 @@
 import json
 import math
 import pathlib
+import random
 
 import jsonschema
 import pytest
 
+import distance_cases
 from spectre import clifford, dixmier, model_triples, univdiff, wodzicki
 from spectre.cli import main
 
@@ -143,15 +145,49 @@ def test_distance_disconnected_exit_code(capsys, tmp_path):
     ("A,B,1e20\n", "B", 1e20),
     ("A,B,1e-200\nB,C,1e200\n", "C", 1e200)])
 def test_distance_long_edges(capsys, tmp_path, rows, to, distance):
-    """HiGHS reads bounds from 1e20 up as infinite; the cross-check
-    program scales the lengths by a power of two, so a long edge is not
-    reported as unbounded."""
+    """A long edge is its own distance, not unbounded or an overflow."""
     f = tmp_path / "graph.csv"
     f.write_text("u,v,length\n" + rows, encoding="utf-8")
     rc, out = run(capsys, ["distance", "--graph", str(f),
                            "--from", "A", "--to", to])
     assert rc == 0
     assert json.loads(out)["distance"] == distance
+
+
+def test_distance_with_lengths_past_the_old_tolerance(tmp_path):
+    """Lengths in (1e6, 2e7) put the distance where one float64 ulp
+    exceeds 1e-9; every pair prints the shortest path and exits 0."""
+    rng = random.Random(5)
+    edges = distance_cases.tree_with_chords(rng, 300, 1e6, 2e7)
+    g = model_triples.MetricGraph(list(range(300)), edges)
+    text = distance_cases.graph_csv(edges)
+    for _ in range(20):
+        x, y = rng.sample(range(300), 2)
+        rc, out = distance_cases.replay(main, tmp_path, text, f"v{x}",
+                                        f"v{y}")
+        assert rc == 0
+        assert json.loads(out)["distance"] == \
+            model_triples.shortest_path_distance(g, x, y)
+
+
+def test_distance_failed_certificate_is_one_error_line(capsys, monkeypatch,
+                                                      tmp_path):
+    f = tmp_path / "graph.csv"
+    f.write_text(distance_cases.README_GRAPH, encoding="utf-8")
+    real = model_triples._shortest_path_tree
+
+    def label_off(graph, x, y):
+        dist, pred = real(graph, x, y)
+        return {**dist, y: dist[y] * (1 + 1e-9)}, pred
+
+    monkeypatch.setattr(model_triples, "_shortest_path_tree", label_off)
+    rc = main(["distance", "--graph", str(f), "--from", "A", "--to", "C"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: distance certificate failed: the potential breaks the edge "
+        "'B'-'C' of length 2.0\n")
 
 
 def test_distance_overflow_is_named(capsys, tmp_path):
@@ -447,6 +483,22 @@ def test_json_matches_golden_output(capsys, argv, name):
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+DISTANCE_CASES = distance_cases.cases()
+DISTANCE_GOLDEN = json.loads((GOLDEN / "distance.json").read_text(
+    encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", DISTANCE_CASES)
+def test_distance_matches_golden_output(tmp_path, name):
+    rc, out = distance_cases.replay(main, tmp_path, *DISTANCE_CASES[name])
+    assert rc == 0
+    assert out == DISTANCE_GOLDEN[name]
+
+
+def test_distance_golden_covers_every_case():
+    assert sorted(DISTANCE_GOLDEN) == sorted(DISTANCE_CASES)
 
 
 def test_wres_sweep_in_one_process_matches_goldens(capsys):

@@ -367,6 +367,94 @@ def test_distance_ignores_self_loops():
     assert mt.connes_distance(g, "a", "b") == 1.0
 
 
+def _cycle_with_chords(seed, n=40):
+    """A Hamiltonian cycle plus n // 2 chords (self-loops among them):
+    no edge is a bridge, so dropping one leaves the graph connected."""
+    rng = random.Random(seed)
+    edges = [(v, (v + 1) % n, rng.uniform(0.5, 2.0)) for v in range(n)]
+    edges += [(rng.randrange(n), rng.randrange(n), rng.uniform(0.5, 2.0))
+              for _ in range(n // 2)]
+    return mt.MetricGraph(list(range(n)), edges)
+
+
+def _label_above(graph, x, y, dist, pred):
+    return {**dist, y: dist[y] * (1 + 1e-9)}, pred
+
+
+def _label_below(graph, x, y, dist, pred):
+    """Every constraint still holds; only the path's length refutes it."""
+    return {**dist, y: dist[y] * (1 - 1e-9)}, pred
+
+
+def _dropped_edge(graph, x, y, dist, pred):
+    """Dijkstra run on the graph without the last edge of the path."""
+    u, l = pred[y]
+    edges = list(graph.edges)
+    edges.remove(next(e for e in edges if e in ((u, y, l), (y, u, l))))
+    return mt._shortest_path_tree(mt.MetricGraph(graph.vertices, edges), x, y)
+
+
+def _wrong_predecessor(graph, x, y, dist, pred):
+    """y labelled through a labelled neighbour that is not on a shortest
+    path."""
+    w, l = min(((w, l) for w, l in graph.adjacency(y)
+                if w in dist and (w, l) != pred[y]),
+               key=lambda e: dist[e[0]] + e[1])
+    return {**dist, y: dist[w] + l}, {**pred, y: (w, l)}
+
+
+@pytest.mark.parametrize("corrupt", [_label_above, _label_below,
+                                     _dropped_edge, _wrong_predecessor])
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_certificate_rejects_a_corrupted_shortest_path(monkeypatch, seed,
+                                                       corrupt):
+    """Each corruption changes the reported distance by more than the
+    absolute 1e-9 the linear-program check allowed, and the certificate
+    rejects it."""
+    g = _cycle_with_chords(seed)
+    x, y = 0, 20
+    assert mt.connes_distance(g, x, y) == mt.shortest_path_distance(g, x, y)
+    real = mt._shortest_path_tree
+    dist, pred = corrupt(g, x, y, *real(g, x, y))
+    assert abs(mt.lp_distance(g, x, y) - dist[y]) > 1e-9
+    monkeypatch.setattr(mt, "_shortest_path_tree",
+                        lambda graph, a, b: (dist, pred))
+    with pytest.raises(ValueError, match="distance certificate failed"):
+        mt.connes_distance(g, x, y)
+
+
+@pytest.mark.parametrize("corrupt, why", [
+    (lambda x, y, dist, pred: ({**dist, x: 0.5}, pred),
+     "the label of 0 is 0.5, not 0"),
+    (lambda x, y, dist, pred: (dist, {**pred, y: (x, dist[y])}),
+     "is not an edge"),
+    (lambda x, y, dist, pred: (dist, {**pred, pred[y][0]: (y, pred[y][1])}),
+     "no predecessor path from 20 back to 0")])
+def test_certificate_rejects_a_broken_proof_of_the_right_value(
+        monkeypatch, corrupt, why):
+    """The reported distance is right, but the labels or the path that
+    should prove it are not."""
+    g = _cycle_with_chords(0)
+    dist, pred = corrupt(0, 20, *mt._shortest_path_tree(g, 0, 20))
+    monkeypatch.setattr(mt, "_shortest_path_tree",
+                        lambda graph, a, b: (dist, pred))
+    with pytest.raises(ValueError, match=why):
+        mt.connes_distance(g, 0, 20)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_certificate_holds_at_every_scale(seed):
+    """The dual side's bound comes from rounding, not from an absolute
+    tolerance, so the same graph certifies at any scale of its lengths."""
+    g = _cycle_with_chords(seed, n=200)
+    for scale in (1e-300, 1e-9, 1.0, 1e7, 1e12, 1e300):
+        scaled = mt.MetricGraph(g.vertices,
+                                [(u, v, l * scale) for u, v, l in g.edges])
+        for y in (1, 57, 100, 199):
+            assert mt.connes_distance(scaled, 0, y) == \
+                mt.shortest_path_distance(scaled, 0, y)
+
+
 def test_lp_constraints_are_sparse(monkeypatch):
     import scipy.optimize
     import scipy.sparse
@@ -383,6 +471,16 @@ def test_lp_constraints_are_sparse(monkeypatch):
     assert scipy.sparse.issparse(seen["A_ub"])
     assert seen["A_ub"].shape == (400, 200)
     assert seen["A_ub"].nnz == 800
+
+
+@pytest.mark.parametrize("edges, y, distance", [
+    ([("A", "B", 1e20)], "B", 1e20),
+    ([("A", "B", 1e-200), ("B", "C", 1e200)], "C", 1e200)])
+def test_lp_distance_reads_long_edges(edges, y, distance):
+    """HiGHS reads bounds from 1e20 up as infinite; the program scales the
+    lengths by a power of two, so a long edge is not unbounded."""
+    g = mt.MetricGraph(["A", "B", "C"], edges)
+    assert mt.lp_distance(g, "A", y) == distance
 
 
 def test_lp_equals_shortest_path_on_random_graphs():

@@ -94,6 +94,25 @@ def test_wres_runs_without_numpy():
     assert out.split() == ["0", "False"]
 
 
+def test_distance_runs_without_scipy(tmp_path):
+    """The distance is proved by weak duality; only `lp_distance`, the
+    tests' oracle, imports SciPy."""
+    graph = tmp_path / "graph.csv"
+    graph.write_text("u,v,length\nA,B,1.5\nB,C,2.0\n", encoding="utf-8")
+    code = ("import contextlib, io, sys\n"
+            "from spectre import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main(['distance', '--graph', {str(graph)!r},\n"
+            "                   '--from', 'A', '--to', 'C'])\n"
+            "print(rc, 'scipy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0", "False"]
+
+
 def _sources():
     return sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
 
