@@ -108,9 +108,12 @@ def torus_eigenvalue_grid(spec, shell_radius):
     return lam2.ravel()
 
 
-def _add_axis(keys, points, axis2, weight, lo, hi):
+def _add_axis(keys, points, axis2, weight, lo, hi, grid=None):
     """The distinct sums key + axis term in [lo, hi), ascending, weights
-    added: `searchsorted` windows with a rounding slack, then exact tests."""
+    added: `searchsorted` windows with a rounding slack, then exact tests.
+    Equal sums merge by a sort, or, when every sum is a multiple of
+    1/`grid`, by a tally of the integers sum * grid (bit for bit the
+    same floats)."""
     slack = 4 * np.finfo(np.float64).eps * hi
     first = np.searchsorted(axis2, lo - keys - slack, side='left')
     take = np.searchsorted(axis2, hi - keys + slack, side='right') - first
@@ -123,6 +126,21 @@ def _add_axis(keys, points, axis2, weight, lo, hi):
     inside = (sums >= lo) & (sums < hi)
     if not inside.all():
         sums, weights = sums[inside], weights[inside]
+    if grid:
+        # unit radii: axis terms are integers, or quarter-integers at
+        # offset 1/2 (grid 4); their partial sums below 2^51 are exact and
+        # every float from 2^51 up is a multiple of 1/4, so sums * grid are
+        # integers, below 2^63 even at the CLI's 2^63 - 1 terms (p = 2:
+        # lambda^2 ~ terms / 2 pi).  The tally's length is at most
+        # grid * (hi - lo) + 1, and (index + base) / grid is exact, grid
+        # being a power of two.
+        base = math.ceil(lo * grid)
+        sums *= grid
+        index = sums.astype(np.int64)
+        index -= base
+        tally = np.bincount(index, weights)     # float64: exact below 2^53
+        at = np.flatnonzero(tally)
+        return (at + base) / grid, tally[at].astype(np.int64)
     order = np.argsort(sums)
     sums, weights = sums[order], weights[order]
     starts = np.flatnonzero(np.diff(sums, prepend=-np.inf))  # 0 iff equal
@@ -152,8 +170,13 @@ def torus_singular_values(spec, max_terms=None):
     (`max_terms` is not read), streamed in bands [lo, hi) of lambda^2 that
     hold by the Weyl count CHUNK_RUNS half-lattice points (k_j >= 0) or n
     terms.  Each band meets the last axis with the shells of the others,
-    kept out to a reach whose square doubles when a band passes it."""
+    kept out to a reach whose square doubles when a band passes it; on a
+    unit-radius torus it merges equal lambda^2 by a tally on the grid of
+    multiples of 1 (offsets 0) or 1/4 (an offset 1/2), else by a sort."""
     p, mult = spec.p, 2 ** (spec.p // 2)
+    grid = None
+    if all(r == 1.0 for r in spec.radii):
+        grid = 4 if any(spec.offsets) else 1
     vol = math.prod(spec.radii) * math.pi ** (p / 2) / math.gamma(p / 2 + 1)
     *inner, last = zip(spec.radii, spec.offsets)
 
@@ -168,7 +191,8 @@ def torus_singular_values(spec, max_terms=None):
                 reach = max(math.sqrt(2) * reach, math.sqrt(hi))
                 keys, points = _shells(inner, reach)
                 axis2, weight = _shells([last], reach)
-            sums, weights = _add_axis(keys, points, axis2, weight, lo, hi)
+            sums, weights = _add_axis(keys, points, axis2, weight, lo, hi,
+                                      grid)
             counts = weights * mult
             stop = int(np.searchsorted(np.cumsum(counts), n - covered)) + 1
             yield 1.0 / np.sqrt(sums[:stop]), counts[:stop]

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import distance_cases
+import volume_torus_cases
 from spectre import clifford, dixmier, model_triples, univdiff, wodzicki
 from spectre.cli import main
 
@@ -460,6 +461,15 @@ def test_volume_torus_matches_golden_output(capsys, p):
     assert rc == 0
     assert out.encode("utf-8") == \
         (GOLDEN / f"volume_torus_p{p}.json").read_bytes()
+
+
+@pytest.mark.parametrize("p", volume_torus_cases.DIMENSIONS)
+def test_volume_torus_1e8_matches_golden_output(capsys, p):
+    """A schedule to 1e8 terms passes many more doublings of the shells'
+    reach than the default one."""
+    rc, out = run(capsys, volume_torus_cases.argv(p))
+    assert rc == 0
+    assert out.encode("utf-8") == volume_torus_cases.golden(p).read_bytes()
 
 
 @pytest.mark.parametrize("seq", sorted(dixmier.BUILTINS))

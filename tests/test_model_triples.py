@@ -260,13 +260,16 @@ def test_torus_ball_holds_max_terms(radii, offset):
 
 @pytest.mark.parametrize("p, radii", [(2, (1.0, 1.0)), (2, (1.0, 1.37)),
                                       (3, (2.0, 1.0, 0.7)),
-                                      (4, (1.0, 1.37, 0.5, 0.7))])
-@pytest.mark.parametrize("offsets", ["zero", "mixed"])
+                                      (4, (1.0, 1.37, 0.5, 0.7)),
+                                      (3, (1.0,) * 3), (4, (1.0,) * 4)])
+@pytest.mark.parametrize("offsets", ["zero", "mixed", "half"])
 def test_torus_bands_match_shells(monkeypatch, p, radii, offsets):
     """Bands of a few runs, so that the reach grows many times, stream
-    the runs of `torus_shells` bit for bit."""
+    the runs of `torus_shells` bit for bit: merged by a tally at unit
+    radii, by a sort otherwise, against the shells' sort."""
     offs = {"zero": (0.0,) * p,
-            "mixed": tuple(0.5 * (j % 2) for j in range(p))}[offsets]
+            "mixed": tuple(0.5 * (j % 2) for j in range(p)),
+            "half": (0.5,) * p}[offsets]
     spec = mt.TorusSpec(p=p, radii=radii, offsets=offs)
     keys, points = mt.torus_shells(spec, {2: 30.0, 3: 10.0, 4: 6.0}[p])
     keep = keys > 0
@@ -289,11 +292,12 @@ def test_torus_radii_past_float64_raise():
         seq.runs(10)
 
 
-def test_torus_spectrum_memory_bound():
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_torus_spectrum_memory_bound(offset):
     """The p = 2 stream holds one band at a time, so draining it to 1e8
     terms (a `volume --model torus` schedule top of 1e8) peaks below
-    16 MB."""
-    spec = mt.TorusSpec(p=2, radii=(1.0, 1.0), offsets=(0.0, 0.0))
+    16 MB; offset 1/2 tallies each band on the widest grid, of quarters."""
+    spec = mt.TorusSpec(p=2, radii=(1.0, 1.0), offsets=(offset, offset))
     seq = mt.torus_singular_values(spec)
     tracemalloc.start()
     try:
