@@ -1,5 +1,4 @@
-"""Gamma matrices for any signature, chirality, real structures, and the
-numeric gamma-word trace that oracles `wodzicki.gamma_word_trace`.
+"""Gamma matrices for any signature, chirality and real structures.
 
 Conventions: generators obey  g^a g^b + g^b g^a = -2 eta^{ab}  with
 eta = diag(+1 x r, -1 x s); the first r generators are anti-Hermitian and
@@ -202,29 +201,3 @@ def find_real_structure(p):
         f"no antilinear solution matches the tabulated signs for p={p}; "
         f"candidates found: {rows}")
 
-
-def numeric_word_trace(word, p):
-    """Oracle: the same trace from concrete matrices, contracting repeated
-    labels by explicit index summation."""
-    gs = build_gammas(Signature(p, 0))
-    labels = sorted(set(word))
-    free = [l for l in labels if word.count(l) == 1]
-    dummies = [l for l in labels if word.count(l) == 2]
-    if len(free) + 2 * len(dummies) != len(word):
-        raise ValueError("labels must appear once or twice")
-
-    def rec(assign, remaining):
-        if not remaining:
-            m = np.eye(gs.dim, dtype=complex)
-            for l in word:
-                m = m @ gs.gammas[assign[l]]
-            return np.trace(m)
-        tot = 0
-        for v in range(p):
-            assign[remaining[0]] = v
-            tot += rec(assign, remaining[1:])
-        return tot
-
-    if free:
-        raise ValueError("numeric oracle needs fully contracted words")
-    return rec({}, dummies)

@@ -372,25 +372,3 @@ def connes_distance(graph, x, y):
              f"not {d!r}")
     return d
 
-
-def discretized_circle(n=200, radius=1.0):
-    """Cycle graph with n vertices and equal edge lengths 2 pi r / n."""
-    verts = list(range(n))
-    step = 2 * math.pi * radius / n
-    edges = [(i, (i + 1) % n, step) for i in range(n)]
-    return MetricGraph(verts, edges)
-
-
-def random_connected_graph(rng, max_vertices=50):
-    """Random tree plus chords, with lengths in (0.1, 2)."""
-    n = rng.randint(2, max_vertices)
-    verts = list(range(n))
-    edges = []
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.append((u, v, rng.uniform(0.1, 2.0)))
-    for _ in range(rng.randint(0, n)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.append((u, v, rng.uniform(0.1, 2.0)))
-    return MetricGraph(verts, edges)

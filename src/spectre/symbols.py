@@ -53,15 +53,6 @@ from fractions import Fraction
 
 from .rationals import GQ, ONE
 
-# fresh_label() hands out distinct positive labels from FRESH_BASE upward
-# for expressions built by hand; the engine itself never calls it.
-FRESH_BASE = 1000
-_fresh_counter = itertools.count(FRESH_BASE)
-
-
-def fresh_label():
-    return next(_fresh_counter)
-
 
 class JetExhausted(Exception):
     """A composition requested an x-derivative beyond the stored jet order."""

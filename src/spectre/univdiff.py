@@ -5,12 +5,12 @@ Chains are exact: a degree-n chain is an integer linear combination of
 word tuples (w0, w1, ..., wn), normal form C_n = A (x) Abar^n (a unit in
 any slot past the first kills the term).  In both models a word is an int,
 the power of one generator, so words multiply by addition and the unit
-is 0.  In both models pi(a) and D are weighted shifts, and so is every
-represented word tuple: each model's `term` gives pi(w0) [D, pi(w1)] ...
-[D, pi(wn)] in closed form as one diag(v) P^s, and `represent` sums these
-into a `WeightedShift`, sum_s diag(w_s) P^s.  The weights `src/` builds
-are Python ints, so every window identity is checked with exact
-arithmetic and no dense matrix is formed.
+is 0.  In both models every represented word tuple is a weighted shift:
+each model's `term` gives pi(w0) [D, pi(w1)] ... [D, pi(wn)] in closed
+form as one diag(v) P^s, and `represent` sums these into a
+`WeightedShift`, sum_s diag(w_s) P^s.  No operator is ever multiplied,
+and the weights are Python ints, so every window identity is checked with
+exact arithmetic and no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -28,41 +28,13 @@ class WeightedShift:
     """Exact n x n operator sum_s diag(w_s) P^s: the s-term holds w_s[i] at
     (i, (i + s) mod n).  Weights are object vectors of Python ints or
     Fractions, so no product can overflow.  `np.asarray` gives the dense
-    matrix.  `represent` builds integer weights directly; the operator
-    algebra (+, -, scalar * and @) is what tests build their targets with."""
+    matrix; `represent` builds integer weights directly."""
 
     __array_ufunc__ = None      # numpy operands must not densify silently
 
     def __init__(self, n, terms=None):
         self.n = n
         self.terms = terms or {}    # shift in range(n) -> weight vector
-
-    @classmethod
-    def diagonal(cls, weights):
-        return cls(len(weights), {0: np.array(weights, dtype=object)})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for s, g in other.terms.items():
-            terms[s] = terms.get(s, 0) + g
-        return WeightedShift(self.n, terms)
-
-    def __sub__(self, other):
-        return self + -1 * other
-
-    def __mul__(self, k):
-        return WeightedShift(self.n, {s: k * w for s, w in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        # diag(w) P^s diag(g) P^t = diag(w * roll(g, -s)) P^(s+t)
-        terms = {}
-        for s, w in self.terms.items():
-            for t, g in other.terms.items():
-                st = (s + t) % self.n
-                terms[st] = terms.get(st, 0) + w * np.roll(g, -s)
-        return WeightedShift(self.n, terms)
 
     def __array__(self, dtype=None, copy=None):
         out = np.zeros((self.n, self.n), dtype=object)
@@ -81,7 +53,7 @@ class CircleModel:
     operator D = diag(0..N-1) so that commutators reproduce the continuum
     identities away from the wrap-around, i.e. on the interior window."""
 
-    unit = 0                    # words are ints k <-> u^k; u^j u^k = u^(j+k)
+    # words are ints k <-> u^k; u^j u^k = u^(j+k), and the unit is u^0
     power_cap = 2
 
     def __init__(self, n=48, margin=12):
@@ -90,7 +62,6 @@ class CircleModel:
                              f"n = {n}, margin = {margin}")
         self.n = n
         self.margin = margin
-        self.D = WeightedShift.diagonal(range(n))
         self.window = np.arange(margin, n - margin)
 
     def words(self):
@@ -112,10 +83,6 @@ class CircleModel:
             s -= w
         return s % self.n, v
 
-    def pi(self, w):
-        s, v = self.term((w,))
-        return WeightedShift(self.n, {s: v})
-
     def reach(self, word_tuple):
         # wrap-around contamination travels this many slots at most
         return sum(abs(w) for w in word_tuple)
@@ -128,13 +95,12 @@ class DiagonalModel:
     """Commuting diagonal generators with D diagonal in the same basis;
     every commutator with D vanishes, so the junk space is trivial."""
 
-    unit = 0                    # words are ints k <-> d^k; d^j d^k = d^(j+k)
+    # words are ints k <-> d^k; d^j d^k = d^(j+k), and the unit is d^0
     power_cap = 3
     n = 12
     margin = 0
 
     def __init__(self):
-        self.D = WeightedShift.diagonal(range(1, self.n + 1))
         self.window = np.arange(self.n)
         self._d = np.array([i % 3 - 1 for i in range(self.n)], dtype=object)
 
@@ -150,10 +116,6 @@ class DiagonalModel:
         if len(word_tuple) > 1:
             return None
         return 0, self._d ** word_tuple[0]
-
-    def pi(self, w):
-        s, v = self.term((w,))
-        return WeightedShift(self.n, {s: v})
 
     def reach(self, word_tuple):
         return 0
@@ -180,8 +142,8 @@ class UniversalChain:
             return
         if len(word_tuple) != self.degree + 1:
             raise ValueError("degree mismatch")
-        # reduced complex: a unit in any differential slot kills the term
-        if self.model.unit in word_tuple[1:]:
+        # reduced complex: the unit 0 in any differential slot kills the term
+        if 0 in word_tuple[1:]:
             return
         new = self.terms.get(word_tuple, 0) + coeff
         if new:
@@ -257,7 +219,7 @@ def delta(c):
     terms whose leading word is the unit are annihilated."""
     out = UniversalChain(c.model, c.degree + 1)
     for wt, coeff in c.terms.items():
-        out.accum((c.model.unit,) + wt, coeff)
+        out.accum((0,) + wt, coeff)
     return out
 
 
@@ -266,12 +228,11 @@ def sigma_op(c):
     chains are fixed."""
     if c.degree == 0:
         return c.copy()
-    m = c.model
-    out = UniversalChain(m, c.degree)
+    out = UniversalChain(c.model, c.degree)
     sign = (-1) ** (c.degree - 1)
     for wt, coeff in c.terms.items():
         # (da)(a0 da1 ... ) = d(a a0) da1 ... - a d(a0) da1 ...
-        flipped = (m.unit, wt[-1]) + wt[:-1]
+        flipped = (0, wt[-1]) + wt[:-1]
         out.accum(_merge(flipped, 1), coeff * sign)
         out.accum(flipped[1:], -coeff * sign)
     return out
@@ -285,7 +246,7 @@ def chain_star(c):
     out = UniversalChain(m, c.degree)
     sign = (-1) ** c.degree
     for wt, coeff in c.terms.items():
-        starred = (m.unit,) + tuple(m.star_word(w) for w in wt[:0:-1])
+        starred = (0,) + tuple(m.star_word(w) for w in wt[:0:-1])
         for piece, pc in _right_mul(starred, m.star_word(wt[0])):
             out.accum(piece, coeff * pc * sign)
     return out
@@ -310,7 +271,7 @@ def random_chain(model, degree, rng, nterms=3):
     if nterms < 1:
         raise ValueError(f"nterms must be >= 1, got {nterms}")
     words = model.words()
-    slot_words = [w for w in words if w != model.unit]
+    slot_words = [w for w in words if w != 0]
     while True:
         out = UniversalChain(model, degree)
         for _ in range(nterms):
@@ -362,10 +323,6 @@ def window_part(mat, model):
         rows = np.flatnonzero(cols >= 0)
         out[rows, cols[rows]] += weights[w[rows]]
     return out
-
-
-def window_equal(m1, m2, model):
-    return np.array_equal(window_part(m1, model), window_part(m2, model))
 
 
 def window_is_zero(mat, model):
@@ -429,7 +386,7 @@ def junk_basis(model, degree=2):
     if degree != 2:
         raise ValueError("junk computed in degree 2")
     words = model.words()
-    monos = [(a, b) for a in words for b in words if b != model.unit]
+    monos = [(a, b) for a in words for b in words if b != 0]
     side = len(model.window)
     top = side * side
     rows = []
@@ -450,7 +407,14 @@ def junk_basis(model, degree=2):
 def in_junk_span(mat, jb, model):
     """Exact membership of the window part in the junk span.  The basis
     rows are already independent, so the target lies in their span exactly
-    when adding it leaves the rank at len(jb.matrices)."""
+    when adding it leaves the rank at len(jb.matrices).  A basis built on
+    a model with another window is a ValueError, like an operator of
+    another size."""
+    side = len(model.window)
+    for m in jb.matrices:
+        if m.shape != (side, side):
+            raise ValueError(f"junk matrix of shape {m.shape} on a window "
+                             f"of side {side}")
     rows = [_sparse_row(m) for m in jb.matrices]
     target = _sparse_row(window_part(mat, model))
     return len(_rref(rows + [target])) == len(rows)

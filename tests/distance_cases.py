@@ -39,7 +39,7 @@ def graph_csv(edges):
 
 def cases():
     """{case id: (graph CSV text, from, to)}."""
-    from spectre.model_triples import random_connected_graph
+    from fixtures import random_connected_graph
     out = {f"readme-{x}-{y}": (README_GRAPH, x, y)
            for x, y in (("A", "C"), ("C", "A"), ("A", "B"), ("B", "B"))}
     for seed in (1000, 1001, 1002):

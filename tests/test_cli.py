@@ -4,15 +4,19 @@ import json
 import math
 import pathlib
 import random
+import re
+import shlex
 
 import jsonschema
 import pytest
 
+import cli_cases
 import distance_cases
 import volume_torus_cases
 from spectre import clifford, dixmier, model_triples, univdiff, wodzicki
 from spectre.cli import main
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -526,3 +530,35 @@ def test_wres_sweep_in_one_process_matches_goldens(capsys):
         assert rc == 0
         assert out.encode("utf-8") == \
             (GOLDEN / f"wres_p{p}.json").read_bytes()
+
+
+CLI_CASES = cli_cases.cases()
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_cli_matches_corpus(tmp_path, name):
+    """stdout, stderr and the exit code, byte for byte, of every corpus
+    case; the recorded inputs are the case's own."""
+    record = json.loads(cli_cases.path(name).read_text(encoding="utf-8"))
+    argv, files = CLI_CASES[name]
+    assert (record["argv"], record["files"]) == (argv, files)
+    assert cli_cases.replay(main, tmp_path, argv, files) == \
+        (record["exit_code"], record["stdout"], record["stderr"])
+
+
+def test_cli_corpus_covers_every_case():
+    recorded = sorted(p.stem for p in cli_cases.CORPUS.glob("*.json"))
+    assert recorded == sorted(CLI_CASES)
+
+
+def test_cli_corpus_covers_every_readme_command():
+    """Each command of the README's "Command line" section is a corpus
+    case, argv for argv."""
+    section = README.read_text(encoding="utf-8").split(
+        "## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("spectre")]
+    assert commands
+    argvs = [argv for argv, _ in CLI_CASES.values()]
+    assert [c for c in commands if c not in argvs] == []

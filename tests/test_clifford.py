@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import numeric_word_trace
 from spectre import clifford as cl
 from spectre import wodzicki
 from spectre.rationals import GQ, ONE
@@ -235,7 +236,7 @@ def test_word_trace_oracle_exhaustive_small():
                 word = tuple(labels)
                 sym = wodzicki.gamma_word_trace(word, p)
                 val = sum((complex(c) for c in sym.terms.values()), 0j)
-                num = cl.numeric_word_trace(word, p)
+                num = numeric_word_trace(word, p)
                 assert abs(val - num) < 1e-9, (p, word)
 
 

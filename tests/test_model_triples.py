@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fixtures import discretized_circle, random_connected_graph
 from spectre import model_triples as mt
 from spectre import dixmier as dx
 
@@ -351,7 +352,7 @@ def test_distance_four_cycle():
 
 
 def test_distance_discretized_circle():
-    g = mt.discretized_circle(200)
+    g = discretized_circle(200)
     d = mt.connes_distance(g, 0, 100)
     assert abs(d - math.pi) <= math.pi / 200
 
@@ -470,7 +471,7 @@ def test_lp_constraints_are_sparse(monkeypatch):
         return real(c, A_ub=A_ub, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    g = mt.discretized_circle(200)
+    g = discretized_circle(200)
     assert abs(mt.lp_distance(g, 0, 100) - math.pi) <= math.pi / 200
     assert scipy.sparse.issparse(seen["A_ub"])
     assert seen["A_ub"].shape == (400, 200)
@@ -490,7 +491,7 @@ def test_lp_distance_reads_long_edges(edges, y, distance):
 def test_lp_equals_shortest_path_on_random_graphs():
     rng = random.Random(42)
     for _ in range(100):
-        g = mt.random_connected_graph(rng)
+        g = random_connected_graph(rng)
         x = rng.randrange(len(g.vertices))
         y = rng.randrange(len(g.vertices))
         d = mt.shortest_path_distance(g, x, y)
@@ -501,7 +502,7 @@ def test_lp_equals_shortest_path_on_random_graphs():
 def test_distance_metric_axioms_randomized():
     rng = random.Random(9)
     for _ in range(10):
-        g = mt.random_connected_graph(rng, max_vertices=12)
+        g = random_connected_graph(rng, max_vertices=12)
         n = len(g.vertices)
         d = [[mt.shortest_path_distance(g, i, j) for j in range(n)]
              for i in range(n)]

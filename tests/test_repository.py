@@ -202,6 +202,114 @@ def test_every_parameter_is_read():
         f"read or gone: {sorted(UNREAD_PARAMETERS - found)})")
 
 
+# public top-level names no command reaches, each with the reason it stays
+LIBRARY_API = {
+    # the (1,infinity) ideal and measurability, where the Dixmier trace of
+    # the source paper lives
+    "dixmier.pinfty_norm": "the (p, infinity) norm of the singular values",
+    "dixmier.p1_norm": "the (p, 1) norm, the dual ideal's",
+    "dixmier.is_measurable": "the measurability probe of a sequence",
+    "dixmier.partial_sum": "S_N, the sum of the first N + 1 terms",
+    "dixmier.partial_ratio": "S_N / log N at one N",
+    "model_triples.sphere_volume": "Vol(S^(p-1)), a factor of c(p) Vol",
+    "model_triples.volume_identity": "c(p) against its closed form "
+                                     "(criterion 6)",
+    "model_triples.torus_shells": "the exact lambda^2 shells of a torus",
+    "model_triples.shortest_path_distance": "the distance without its "
+                                            "certificate",
+    "univdiff.JunkBasis": "what junk_basis returns",
+    "univdiff.junk_basis": "the junk forms of the model",
+    "univdiff.in_junk_span": "membership in the junk span",
+    "univdiff.omega1_form": "the trace pairing on one-forms",
+    "univdiff.chain": "builds a chain from its word tuples",
+    "univdiff.chain_star": "the involution of the differential algebra",
+    "wodzicki.gravity_action": "the action coefficients of one p",
+    "wodzicki.quadratic_form_coeff": "the torsion quadratic form of one p",
+    "wodzicki.inverse_power": "the symbols of a negative power of D^2",
+    "wodzicki.closed_form_inverse_power": "their closed form, the even "
+                                          "case's reference",
+    "wodzicki.parametrix_D2": "the parametrix jets of D^2",
+    "wodzicki.gamma_word_trace": "the spinor trace of one gamma word",
+    "wodzicki.spinor_trace": "the spinor trace of a matrix-word expression",
+}
+# public names that stay in src/ because perfbench binds them; they move
+# with the next change to the benchmark
+BENCHMARK_BOUND = {
+    "_kernels.IMPL": "perfbench records it as the kernel's provenance",
+    "model_triples.torus_eigenvalue_grid": "perfbench traces it; the torus "
+                                           "oracle of the tests",
+    "model_triples.lp_distance": "perfbench traces it; criterion 7's "
+                                 "oracle",
+}
+
+
+def _top_level_definitions():
+    """{(module, name): node} for every function, class and assigned name
+    at the top level of src/spectre."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and \
+                    isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            found.update(((path.stem, name), node) for name in names)
+    return found
+
+
+def _names_read(node):
+    """Every name a node reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, ast.Attribute)}
+
+
+def _reached_from_cli():
+    """The static closure of the names cli.py reads: a top-level
+    definition, in any module, whose name a reached body reads is reached
+    too.  Names are matched without their module, so a shared name
+    reaches every definition that bears it."""
+    definitions = _top_level_definitions()
+    read = _names_read(ast.parse((PACKAGE / "cli.py").read_text(
+        encoding="utf-8")))
+    reached = set()
+    while True:
+        new = {key for key in definitions
+               if key[1] in read and key not in reached}
+        if not new:
+            return definitions, reached
+        reached |= new
+        for key in new:
+            read |= _names_read(definitions[key])
+
+
+def test_every_public_name_is_reached_or_listed():
+    """North star 2: src/ holds what a command runs.  A public top-level
+    name that no command reaches is library API or bound by the
+    benchmark, and says so; anything else belongs in tests/ or nowhere."""
+    assert LIBRARY_API.keys() & BENCHMARK_BOUND.keys() == set()
+    definitions, reached = _reached_from_cli()
+    unreached = {f"{module}.{name}" for module, name in definitions
+                 if (module, name) not in reached
+                 and not name.startswith("_")}
+    listed = LIBRARY_API.keys() | BENCHMARK_BOUND.keys()
+    assert unreached == listed, (
+        "a public name no command reaches belongs in tests/ or nowhere; if "
+        "it must stay in src/, add it with a one-line reason to "
+        "LIBRARY_API, or to BENCHMARK_BOUND if perfbench calls it, in "
+        "tests/test_repository.py (unreached and unlisted: "
+        f"{sorted(unreached - listed)}; listed but reached or gone: "
+        f"{sorted(listed - unreached)})")
+
+
 def test_benchmark_targets_resolve():
     """perfbench wraps spectre's functions by dotted name and records
     `_kernels.IMPL`; a rename under src/ must fail here, not in the

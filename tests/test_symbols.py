@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectre
+from fixtures import fresh_label, numeric_word_trace
 from spectre import clifford, symbols, wodzicki
 from spectre.cli import main
 from spectre.rationals import GQ, I, ONE
 from spectre.symbols import (JetExhausted, SymbolExpr, canon_mono, compose,
-                             fresh_label, sigma2_pow)
+                             sigma2_pow)
 
 
 def mono(**kw):
@@ -77,7 +78,6 @@ def test_xi_pair_becomes_norm_power():
 def test_delta_trace_is_left_to_the_gamma_trace():
     """The engine carries no dimension: a traced delta is refused, and the
     gamma-word trace contracts g^m g_m to -p itself."""
-    from spectre.clifford import numeric_word_trace
     from spectre.wodzicki import gamma_word_trace
     with pytest.raises(ValueError):
         SymbolExpr.mono(tens=(('dl', 1, 1),))

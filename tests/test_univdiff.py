@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import dense_model, dense_represent, same_window
 from spectre import cli, univdiff as ud
 
 
@@ -121,13 +122,13 @@ def test_delta_squares_to_zero_and_kills_unit():
     for _ in range(10):
         c = ud.random_chain(CIRCLE, 2, RNG)
         assert ud.delta(ud.delta(c)).is_zero()
-    assert ud.delta(ud.chain(CIRCLE, (CIRCLE.unit,))).is_zero()
+    assert ud.delta(ud.chain(CIRCLE, (0,))).is_zero()
 
 
 def test_delta_of_degree_one():
     # a0 d a1 -> d a0 d a1
     c = ud.chain(CIRCLE, (2, 1))
-    assert ud.delta(c) == ud.chain(CIRCLE, (CIRCLE.unit, 2, 1))
+    assert ud.delta(c) == ud.chain(CIRCLE, (0, 2, 1))
 
 
 def test_graded_leibniz_randomized():
@@ -172,16 +173,14 @@ def test_sigma_degree_zero_fixed():
 def test_represent_cycle_is_identity_on_window():
     c = ud.chain(CIRCLE, (-1, 1))
     rep = ud.represent(c)
-    assert ud.window_equal(rep, np.eye(CIRCLE.n, dtype=np.int64), CIRCLE)
+    assert same_window(rep, np.eye(CIRCLE.n, dtype=np.int64), CIRCLE)
 
 
 def test_represent_unit_tensor_is_commutator():
-    c = ud.chain(CIRCLE, (CIRCLE.unit, 2))
+    c = ud.chain(CIRCLE, (0, 2))
     rep = ud.represent(c)
-    pw = CIRCLE.pi(2)
-    assert np.array_equal(np.array(rep, dtype=object),
-                          np.array(CIRCLE.D @ pw - pw @ CIRCLE.D,
-                                   dtype=object))
+    _, _, comm = dense_model(CIRCLE)
+    assert np.array_equal(np.array(rep, dtype=object), comm[2])
 
 
 def test_represent_kills_boundaries_on_window():
@@ -194,11 +193,10 @@ def test_represent_kills_boundaries_on_window():
 
 
 def test_first_order_condition_on_window():
+    _, pi, comm = dense_model(CIRCLE)
     for wa in (1, 2, -1):
         for wb in (1, -2):
-            pa, pb = CIRCLE.pi(wa), CIRCLE.pi(wb)
-            comm = CIRCLE.D @ pa - pa @ CIRCLE.D
-            double = comm @ pb - pb @ comm
+            double = comm[wa] @ pi[wb] - pi[wb] @ comm[wa]
             assert ud.window_is_zero(double, CIRCLE)
 
 
@@ -208,7 +206,8 @@ def test_junk_detected_on_circle():
     assert ud.window_is_zero(ud.represent(xi), CIRCLE)
     dxi = ud.delta(xi)
     rep = ud.represent(dxi)
-    assert ud.window_equal(rep, -2 * CIRCLE.pi(2), CIRCLE)
+    _, pi, _ = dense_model(CIRCLE)
+    assert same_window(rep, -2 * pi[2], CIRCLE)
     jb = ud.junk_basis(CIRCLE, 2)
     assert jb.matrices
     assert ud.in_junk_span(rep, jb, CIRCLE)
@@ -222,8 +221,8 @@ def test_junk_trivial_on_diagonal_model():
 def test_pre_clifford_anticommutator_in_junk_span():
     jb = ud.junk_basis(CIRCLE, 2)
     for wa, wb in [(1, 1), (1, 2), (2, -1), (-2, 1), (-1, -1)]:
-        da = ud.represent(ud.delta(ud.chain(CIRCLE, (wa,))))
-        db = ud.represent(ud.delta(ud.chain(CIRCLE, (wb,))))
+        da = np.asarray(ud.represent(ud.delta(ud.chain(CIRCLE, (wa,)))))
+        db = np.asarray(ud.represent(ud.delta(ud.chain(CIRCLE, (wb,)))))
         anti = da @ db + db @ da
         assert ud.in_junk_span(anti, jb, CIRCLE)
 
@@ -233,13 +232,13 @@ def test_one_minus_sigma_of_cycle_times_da():
     a = ud.chain(CIRCLE, (2,))
     cda = ud.chain_mul(cyc, ud.delta(a))
     lhs = cda - ud.sigma_op(cda)
-    target = 2 * (CIRCLE.D @ CIRCLE.pi(2) - CIRCLE.pi(2) @ CIRCLE.D)
-    assert ud.window_equal(ud.represent(lhs), target, CIRCLE)
+    _, _, comm = dense_model(CIRCLE)
+    assert same_window(ud.represent(lhs), 2 * comm[2], CIRCLE)
 
 
 def test_omega1_form_values():
     assert ud.omega1_form(CIRCLE, 1, 1) == 1
-    assert ud.omega1_form(CIRCLE, CIRCLE.unit, 1) == 0
+    assert ud.omega1_form(CIRCLE, 0, 1) == 0
     # positive semidefinite on the generators
     for word in (1, 2, -1, -2):
         assert ud.omega1_form(CIRCLE, word, word) >= 0
@@ -257,43 +256,14 @@ def test_margin_guard():
 
 
 # ----------------------------------------------------------------------
-# dense oracle: the models as explicit n x n matrices with Python-int
-# object entries, multiplied out in full
-
-def _dense_model(model):
-    """The model's D, pi(w) and [D, pi(w)] for every word w, as dense
-    object matrices: on the circle pi(w) = u^w, u the cyclic shift
-    e_j -> e_(j+1), is the identity with its rows rolled by w."""
-    n = model.n
-    if isinstance(model, ud.CircleModel):
-        eye = np.eye(n, dtype=np.int64)
-        d = np.diag(range(n)).astype(object)
-        pi = {w: np.roll(eye, w, axis=0).astype(object)
-              for w in model.words()}
-    else:
-        a = [i % 3 - 1 for i in range(n)]
-        d = np.diag(range(1, n + 1)).astype(object)
-        pi = {w: np.diag([x ** w for x in a]).astype(object)
-              for w in model.words()}
-    return d, pi, {w: d @ pw - pw @ d for w, pw in pi.items()}
-
-
-def _dense_represent(c, dense):
-    _, pi, comm = dense
-    out = np.zeros((c.model.n,) * 2, dtype=object)
-    for wt, coeff in c.terms.items():
-        acc = pi[wt[0]]
-        for w in wt[1:]:
-            acc = acc @ comm[w]
-        out = out + coeff * acc
-    return out
-
+# dense oracle (`fixtures.dense_model`): the models as explicit n x n
+# matrices, multiplied out in full
 
 def test_dense_model_powers_match_matrix_power():
     """The oracle's closed-form pi(w) is the |w|-th matrix power of its
     generator (of u^-1 = u^T for w < 0), for every word with |w| <= 2."""
     for model in (CIRCLE, ud.CircleModel(31, 8), DIAG):
-        _, pi, _ = _dense_model(model)
+        _, pi, _ = dense_model(model)
         if isinstance(model, ud.CircleModel):
             # u, the cyclic shift e_j -> e_(j+1)
             gen = np.roll(np.eye(model.n, dtype=np.int64), -1, axis=0).T
@@ -314,51 +284,30 @@ def test_represent_matches_dense_oracle_on_full_matrix(model):
     on even and odd n; at n = 31 the margin 8 is the largest reach of a
     degree-3 tuple, so the wrap-around rows are as full as they get."""
     rng = random.Random(7)
-    dense = _dense_model(model)
-    dense_d, pi, _ = dense
-    assert np.array_equal(np.asarray(model.D), dense_d)
+    dense = dense_model(model)
+    _, pi, comm = dense
+    # pi(w) and [D, pi(w)] of every word, from the one-word chains
     for w in model.words():
-        assert np.array_equal(np.asarray(model.pi(w)), pi[w])
+        assert np.array_equal(
+            np.asarray(ud.represent(ud.chain(model, (w,)))), pi[w])
+        assert np.array_equal(
+            np.asarray(ud.represent(ud.chain(model, (0, w)))), comm[w])
     for deg in (0, 1, 2, 3):
         for _ in range(8):
             c = ud.random_chain(model, deg, rng)
             got = np.asarray(ud.represent(c))
             # every entry, wrap-around included, and exact types only
             assert got.shape == (model.n, model.n)
-            assert np.array_equal(got, _dense_represent(c, dense))
+            assert np.array_equal(got, dense_represent(c, dense))
             assert all(type(x) in (int, Fraction) for x in got.flat)
             assert np.array_equal(ud.window_part(ud.represent(c), model),
                                   ud.window_part(got, model))
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_weighted_shift_algebra_matches_dense(n):
-    """The operator algebra the tests build their targets with: @, +, -
-    and scalar * on random shifts (0 and n - 1 among them) with Python-int
-    weights give the dense results, entry for entry."""
-    rng = random.Random(n)
-
-    def random_shift():
-        shifts = {0, n - 1, *rng.sample(range(n), rng.randint(0, 2))}
-        return ud.WeightedShift(n, {s: np.array(
-            [rng.randint(-5, 5) for _ in range(n)], dtype=object)
-            for s in shifts})
-
-    for _ in range(20):
-        a, b = random_shift(), random_shift()
-        da, db = np.asarray(a), np.asarray(b)
-        k = rng.randint(-3, 3)
-        assert np.array_equal(np.asarray(a @ b), da @ db)
-        assert np.array_equal(np.asarray(a + b), da + db)
-        assert np.array_equal(np.asarray(a - b), da - db)
-        assert np.array_equal(np.asarray(k * a), k * da)
-        assert all(type(x) is int for x in np.asarray(a @ b).flat)
-
-
 @pytest.mark.parametrize("model", [CIRCLE, DIAG], ids=["circle", "diagonal"])
 def test_omega1_form_matches_dense_trace(model):
-    dense = _dense_model(model)
-    d = {w: _dense_represent(ud.delta(ud.chain(model, (w,))), dense)
+    dense = dense_model(model)
+    d = {w: dense_represent(ud.delta(ud.chain(model, (w,))), dense)
          for w in model.words()}
     for a in model.words():
         for b in model.words():
@@ -399,36 +348,60 @@ def test_operators_of_another_size_are_rejected():
     a smaller one must not fail with an IndexError."""
     jb = ud.junk_basis(CIRCLE, 2)
     big = ud.CircleModel(n=60)
-    da = ud.represent(ud.delta(ud.chain(big, (1,))))
-    db = ud.represent(ud.delta(ud.chain(big, (2,))))
-    anti = da @ db + db @ da
+    anti = _anticommutator(big, 1, 2)
     for mat in (anti, np.asarray(anti), np.eye(10, dtype=np.int64),
                 ud.WeightedShift(10)):
         with pytest.raises(ValueError):
             ud.in_junk_span(mat, jb, CIRCLE)
         with pytest.raises(ValueError):
-            ud.window_equal(mat, np.asarray(CIRCLE.D), CIRCLE)
-        with pytest.raises(ValueError):
-            ud.window_equal(CIRCLE.D, mat, CIRCLE)
+            ud.window_part(mat, CIRCLE)
         with pytest.raises(ValueError):
             ud.window_is_zero(mat, CIRCLE)
     # the same anticommutator on the model's own size, dense or not
-    da = ud.represent(ud.delta(ud.chain(CIRCLE, (1,))))
-    db = ud.represent(ud.delta(ud.chain(CIRCLE, (2,))))
-    anti = da @ db + db @ da
+    anti = _anticommutator(CIRCLE, 1, 2)
     assert ud.in_junk_span(anti, jb, CIRCLE)
     assert ud.in_junk_span(np.asarray(anti), jb, CIRCLE)
 
 
+def _anticommutator(model, a, b):
+    """[D, u^a] [D, u^b] + [D, u^b] [D, u^a] as the weighted shift of the
+    chain du^a du^b + du^b du^a, checked against the dense product."""
+    anti = ud.represent(ud.chain(model, (0, a, b), (0, b, a)))
+    _, _, comm = dense_model(model)
+    assert np.array_equal(np.asarray(anti),
+                          comm[a] @ comm[b] + comm[b] @ comm[a])
+    return anti
+
+
+def test_junk_basis_of_another_window_is_rejected():
+    """A junk basis built on a model with another window answers nothing
+    about this one, so in_junk_span refuses it rather than answer False
+    for an anticommutator that lies in the span."""
+    anti = _anticommutator(CIRCLE, 1, 2)
+    assert ud.in_junk_span(anti, ud.junk_basis(CIRCLE, 2), CIRCLE)
+    for other in (ud.CircleModel(60, 12), ud.CircleModel(30, 6)):
+        with pytest.raises(ValueError, match="junk matrix of shape"):
+            ud.in_junk_span(anti, ud.junk_basis(other, 2), CIRCLE)
+
+
 def test_in_junk_span_rejects_outside_targets():
     jb = ud.junk_basis(CIRCLE, 2)
-    assert not ud.in_junk_span(CIRCLE.D, jb, CIRCLE)
-    assert not ud.in_junk_span(np.asarray(CIRCLE.D), jb, CIRCLE)
+    d, _, _ = dense_model(CIRCLE)
+    assert not ud.in_junk_span(_diagonal(d), jb, CIRCLE)
+    assert not ud.in_junk_span(d, jb, CIRCLE)
     assert ud.in_junk_span(ud.WeightedShift(CIRCLE.n), jb, CIRCLE)
     # with no junk, only the zero window is in the span
     empty = ud.junk_basis(DIAG, 2)
-    assert ud.in_junk_span(DIAG.pi(0) - DIAG.pi(0), empty, DIAG)
-    assert not ud.in_junk_span(DIAG.D, empty, DIAG)
+    d, pi, _ = dense_model(DIAG)
+    assert ud.in_junk_span(pi[0] - pi[0], empty, DIAG)
+    assert ud.in_junk_span(ud.WeightedShift(DIAG.n), empty, DIAG)
+    assert not ud.in_junk_span(_diagonal(d), empty, DIAG)
+    assert not ud.in_junk_span(d, empty, DIAG)
+
+
+def _diagonal(dense):
+    """A diagonal dense matrix as a WeightedShift on shift 0."""
+    return ud.WeightedShift(len(dense), {0: dense.diagonal().copy()})
 
 
 @pytest.mark.parametrize("n, margin", [(10, 5), (24, 12), (48, -1)])
@@ -451,8 +424,8 @@ def test_margin_guard_holds_at_zero_margin():
     small = ud.CircleModel(n=8, margin=0)
     with pytest.raises(ValueError):
         ud.represent(ud.chain(small, (0, 1)))
-    assert ud.window_equal(ud.represent(ud.chain(small, (small.unit,))),
-                           np.eye(8, dtype=np.int64), small)
+    assert same_window(ud.represent(ud.chain(small, (0,))),
+                       np.eye(8, dtype=np.int64), small)
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +483,7 @@ def junk_basis_dense(model):
     """The degree-2 junk matrices by dense elimination: the reference for
     `junk_basis`."""
     words = model.words()
-    monos = [(a, b) for a in words for b in words if b != model.unit]
+    monos = [(a, b) for a in words for b in words if b != 0]
     cols = [_window_vector(ud.represent(ud.chain(model, wt)), model)
             for wt in monos]
     kernel = _dense_nullspace([list(row) for row in zip(*cols)])

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fixtures
+from fixtures import fresh_label, numeric_word_trace
 from spectre.rationals import GQ, I, ONE
-from spectre.symbols import (SymbolExpr, compose, fresh_label, relabel_free,
-                             sigma2_pow)
+from spectre.symbols import SymbolExpr, compose, relabel_free, sigma2_pow
 from spectre import symbols
 from spectre import wodzicki as w
 from test_clifford import gamma_word_trace_reference
@@ -430,7 +431,6 @@ def test_trace_reduce_reads_the_group_trace_built_once():
 
 
 def test_gamma_word_trace_oracle_small():
-    from spectre.clifford import numeric_word_trace
     from spectre.wodzicki import gamma_word_trace
     for p in (2, 3, 4):
         for word in [(0, 0), (0, 1, 0, 1), (0, 1, 1, 0),
@@ -513,10 +513,12 @@ class _NoLabels:
 
 
 def test_engine_draws_no_global_labels(monkeypatch):
+    """The only global label source is the tests' `fresh_label`; the
+    engine's results do not touch it."""
     def run():
         return (w.gravity_action(4), w.gravity_action(5),
                 w.spinor_trace(w.group_residual(), 4))
 
     expected = run()
-    monkeypatch.setattr(symbols, "_fresh_counter", _NoLabels())
+    monkeypatch.setattr(fixtures, "_fresh_counter", _NoLabels())
     assert run() == expected
