@@ -300,8 +300,16 @@ _DISPATCH = {
 }
 
 
+# built by the first main() call; parsing leaves it unchanged, so every
+# later call in the process reuses it
+_parser = None
+
+
 def main(argv=None):
-    ap = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    ap = _parser
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

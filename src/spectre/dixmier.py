@@ -116,57 +116,11 @@ class SingularValueSeq:
         return SingularValueSeq(name=name, kernel_dim=self.kernel_dim,
                                 chunks_fn=chunks_fn)
 
-    def scaled(self, lam):
-        return self.mapped(lambda v: v * lam, f"{lam}*{self.name}")
-
-    def with_prefix(self, prefix_values):
-        """Replace the first len(prefix_values) terms (finite-rank edit);
-        prefix must keep the sequence admissible.  Each prefix value is
-        held back until the chunk where it belongs, and comes first among
-        equal values."""
-        source = self._chunks_fn
-        prefix = np.asarray(sorted(prefix_values, reverse=True), dtype=float)
-
-        def chunks_fn(n):
-            pending, drop = prefix, len(prefix)
-            for values, counts in source(n + len(prefix)):
-                # the source is unchecked: a 0-d count is written out one
-                # per run, any other counts pass as they are
-                if counts.ndim == 0:
-                    counts = np.broadcast_to(counts, values.shape)
-                values, counts, drop = _drop_terms(values, counts, drop)
-                # values of this chunk strictly above each pending value
-                pos = np.searchsorted(-values, -pending, side='left')
-                k = int(np.count_nonzero(pos < len(values)))
-                yield (np.insert(values, pos[:k], pending[:k]),
-                       np.insert(counts, pos[:k], 1))
-                pending = pending[k:]
-            if len(pending):
-                yield pending, np.ones(len(pending), dtype=np.int64)
-        return SingularValueSeq(name=f"{self.name}+prefix",
-                                kernel_dim=self.kernel_dim,
-                                chunks_fn=chunks_fn)
-
 
 def _read_only(a):
     view = a.view()
     view.flags.writeable = False
     return view
-
-
-def _drop_terms(values, counts, k):
-    """Remove the first k terms of a chunk; also returns how many terms
-    later chunks must still drop."""
-    if k == 0:
-        return values, counts, 0
-    total = int(counts.sum())
-    if k >= total:
-        return values[:0], counts[:0], k - total
-    ends = np.cumsum(counts)
-    i = int(np.searchsorted(ends, k, side='right'))  # runs dropped whole
-    counts = counts[i:].copy()
-    counts[0] = ends[i] - k
-    return values[i:], counts, 0
 
 
 # ----------------------------------------------------------------------

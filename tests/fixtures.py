@@ -6,12 +6,88 @@ oracle computes its answer without the code it checks.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from spectre import univdiff as ud
 from spectre.clifford import Signature, build_gammas
+from spectre.dixmier import SingularValueSeq
 from spectre.model_triples import MetricGraph
+
+# ----------------------------------------------------------------------
+# rationals: the Gaussian rationals as a pair of Fractions, the form
+# `spectre.rationals.GQ` had before it moved to one int triple; the
+# oracle of that triple's arithmetic
+
+class PairGQ:
+    """Gaussian rational a + b*i with exact Fraction components."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        other = _as_pair_gq(other)
+        return PairGQ(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _as_pair_gq(other)
+        return PairGQ(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _as_pair_gq(other) - self
+
+    def __mul__(self, other):
+        other = _as_pair_gq(other)
+        return PairGQ(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_pair_gq(other)
+        den = other.re * other.re + other.im * other.im
+        if den == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return PairGQ((self.re * other.re + self.im * other.im) / den,
+                      (self.im * other.re - self.re * other.im) / den)
+
+    def __neg__(self):
+        return PairGQ(-self.re, -self.im)
+
+    def __eq__(self, other):
+        other = _as_pair_gq(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __complex__(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __repr__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i"
+        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
+
+
+def _as_pair_gq(x):
+    if isinstance(x, PairGQ):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return PairGQ(x)
+    raise TypeError(f"cannot coerce {type(x)!r} to PairGQ")
+
 
 # ----------------------------------------------------------------------
 # symbols: labels for expressions built by hand
@@ -54,6 +130,55 @@ def numeric_word_trace(word, p):
     if free:
         raise ValueError("numeric oracle needs fully contracted words")
     return rec({}, dummies)
+
+
+# ----------------------------------------------------------------------
+# dixmier: sequences edited by hand
+
+def scaled(seq, lam):
+    """The sequence lam * seq."""
+    return seq.mapped(lambda v: v * lam, f"{lam}*{seq.name}")
+
+
+def with_prefix(seq, prefix_values):
+    """Replace the first len(prefix_values) terms (finite-rank edit);
+    prefix must keep the sequence admissible.  Each prefix value is
+    held back until the chunk where it belongs, and comes first among
+    equal values."""
+    prefix = np.asarray(sorted(prefix_values, reverse=True), dtype=float)
+
+    def chunks_fn(n):
+        pending, drop = prefix, len(prefix)
+        for values, counts in seq.chunks(n + len(prefix)):
+            # a 0-d count is written out one per run
+            if counts.ndim == 0:
+                counts = np.broadcast_to(counts, values.shape)
+            values, counts, drop = _drop_terms(values, counts, drop)
+            # values of this chunk strictly above each pending value
+            pos = np.searchsorted(-values, -pending, side='left')
+            k = int(np.count_nonzero(pos < len(values)))
+            yield (np.insert(values, pos[:k], pending[:k]),
+                   np.insert(counts, pos[:k], 1))
+            pending = pending[k:]
+        if len(pending):
+            yield pending, np.ones(len(pending), dtype=np.int64)
+    return SingularValueSeq(name=f"{seq.name}+prefix",
+                            kernel_dim=seq.kernel_dim, chunks_fn=chunks_fn)
+
+
+def _drop_terms(values, counts, k):
+    """Remove the first k terms of a chunk; also returns how many terms
+    later chunks must still drop."""
+    if k == 0:
+        return values, counts, 0
+    total = int(counts.sum())
+    if k >= total:
+        return values[:0], counts[:0], k - total
+    ends = np.cumsum(counts)
+    i = int(np.searchsorted(ends, k, side='right'))  # runs dropped whole
+    counts = counts[i:].copy()
+    counts[0] = ends[i] - k
+    return values[i:], counts, 0
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 import cli_cases
 import distance_cases
 import volume_torus_cases
-from spectre import clifford, dixmier, model_triples, univdiff, wodzicki
+from spectre import (cli, clifford, dixmier, model_triples, univdiff,
+                     wodzicki)
 from spectre.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -544,6 +545,27 @@ def test_cli_matches_corpus(tmp_path, name):
     assert (record["argv"], record["files"]) == (argv, files)
     assert cli_cases.replay(main, tmp_path, argv, files) == \
         (record["exit_code"], record["stdout"], record["stderr"])
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch):
+    """main() builds its parser on the first call and reuses it: a usage
+    error, the help, two commands and the usage error again, in one
+    process, each give their corpus case byte for byte."""
+    built, real = [], cli.build_parser
+
+    def build_parser():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    for name in ("usage-p-not-an-integer", "help", "wres-p4-torsion-on",
+                 "readme-volume-torus", "usage-p-not-an-integer"):
+        record = json.loads(cli_cases.path(name).read_text(encoding="utf-8"))
+        assert cli_cases.replay(main, tmp_path, record["argv"],
+                                record["files"]) == \
+            (record["exit_code"], record["stdout"], record["stderr"]), name
+    assert len(built) == 1
 
 
 def test_cli_corpus_covers_every_case():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import digamma
 
+from fixtures import scaled, with_prefix
 from spectre import dixmier as dx
 from spectre import model_triples as mt
 from spectre._kernels import partial_sums_at
@@ -299,7 +300,7 @@ def test_linearity_on_measurable_merge():
 
 def test_finite_rank_invariance():
     h = dx.harmonic()
-    edited = h.with_prefix([50.0, 20.0, 7.5, 3.25])
+    edited = with_prefix(h, [50.0, 20.0, 7.5, 3.25])
     sched = [10**4, 10**5, 10**6]
     e0 = dx.dixmier_estimate(h, sched)
     e1 = dx.dixmier_estimate(edited, sched)
@@ -318,8 +319,8 @@ def test_homogeneity(lam):
     lam = float(lam)
     sched = [10**4, 10**5, 10**6]
     base = dx.dixmier_estimate(dx.harmonic(), sched).value
-    scaled = dx.dixmier_estimate(dx.harmonic().scaled(lam), sched).value
-    assert abs(scaled - lam * base) < 1e-9 * max(1.0, lam)
+    edited = dx.dixmier_estimate(scaled(dx.harmonic(), lam), sched).value
+    assert abs(edited - lam * base) < 1e-9 * max(1.0, lam)
 
 
 def test_pinfty_and_p1_norms():
@@ -341,9 +342,9 @@ def test_pinfty_and_p1_norms():
     assert abs(dx.pinfty_norm(g, 2, 10**4)
                - dx.pinfty_norm(g, 2, 10**3)) < 1e-9
     # homogeneity of the norms
-    assert math.isclose(dx.pinfty_norm(s.scaled(3.0), 2, 1000),
+    assert math.isclose(dx.pinfty_norm(scaled(s, 3.0), 2, 1000),
                         3 * dx.pinfty_norm(s, 2, 1000), rel_tol=1e-12)
-    assert math.isclose(dx.p1_norm(s.scaled(3.0), 2, 1000),
+    assert math.isclose(dx.p1_norm(scaled(s, 3.0), 2, 1000),
                         3 * dx.p1_norm(s, 2, 1000), rel_tol=1e-12)
     with pytest.raises(ValueError):
         dx.pinfty_norm(s, 1.0, 100)
@@ -526,8 +527,8 @@ def _chunked_sequences():
         "circle": mt.circle_singular_values(mt.CircleSpec()),
         "circle-spin": mt.circle_singular_values(mt.CircleSpec(0.5)),
         "torus-p2": torus,
-        "scaled": dx.block_oscillator().scaled(2.5),
-        "prefix": dx.harmonic_doubled().with_prefix(PREFIX),
+        "scaled": scaled(dx.block_oscillator(), 2.5),
+        "prefix": with_prefix(dx.harmonic_doubled(), PREFIX),
         "hand-built": hand,
         "hand-built-shared": shared,
     }
@@ -714,7 +715,7 @@ def test_0d_counts_give_what_per_run_counts_give(monkeypatch, chunk_runs,
     twin = _per_run_twin(seq)
     assert all(c.ndim == 0 for v, c in seq.chunks(900))
     for a, b in ((seq, twin),
-                 (seq.with_prefix(PREFIX), twin.with_prefix(PREFIX))):
+                 (with_prefix(seq, PREFIX), with_prefix(twin, PREFIX))):
         values, counts = a.runs(1000)
         expect_values, expect_counts = b.runs(1000)
         assert counts.dtype == np.int64 and counts.shape == values.shape

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fixtures import discretized_circle, random_connected_graph
+from fixtures import (discretized_circle, random_connected_graph, scaled,
+                      with_prefix)
 from spectre import model_triples as mt
 from spectre import dixmier as dx
 
@@ -42,8 +43,8 @@ def test_circle_runs_antiperiodic():
 
 def test_edited_sequences_keep_kernel_dim():
     seq = mt.circle_singular_values(mt.CircleSpec())
-    assert seq.with_prefix([5.0]).kernel_dim == 1
-    assert seq.scaled(2.0).kernel_dim == 1
+    assert with_prefix(seq, [5.0]).kernel_dim == 1
+    assert scaled(seq, 2.0).kernel_dim == 1
 
 
 @pytest.mark.parametrize("p, zero_modes", [(2, 2), (3, 2), (4, 4)])

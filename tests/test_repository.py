@@ -202,7 +202,8 @@ def test_every_parameter_is_read():
         f"read or gone: {sorted(UNREAD_PARAMETERS - found)})")
 
 
-# public top-level names no command reaches, each with the reason it stays
+# public names (top-level, or methods of public classes) no command
+# reaches, each with the reason it stays
 LIBRARY_API = {
     # the (1,infinity) ideal and measurability, where the Dixmier trace of
     # the source paper lives
@@ -223,6 +224,10 @@ LIBRARY_API = {
     "univdiff.omega1_form": "the trace pairing on one-forms",
     "univdiff.chain": "builds a chain from its word tuples",
     "univdiff.chain_star": "the involution of the differential algebra",
+    "univdiff.CircleModel.star_word": "the word of a*, which chain_star "
+                                      "reads",
+    "univdiff.DiagonalModel.star_word": "the word of a*, which chain_star "
+                                        "reads",
     "wodzicki.gravity_action": "the action coefficients of one p",
     "wodzicki.quadratic_form_coeff": "the torsion quadratic form of one p",
     "wodzicki.inverse_power": "the symbols of a negative power of D^2",
@@ -240,61 +245,82 @@ BENCHMARK_BOUND = {
                                            "oracle of the tests",
     "model_triples.lp_distance": "perfbench traces it; criterion 7's "
                                  "oracle",
+    "dixmier.SingularValueSeq.runs": "perfbench's irrational torus reads "
+                                     "its runs",
 }
 
 
-def _top_level_definitions():
-    """{(module, name): node} for every function, class and assigned name
-    at the top level of src/spectre."""
+def _is_function(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _definitions():
+    """{(module, name): (the reads that reach it, the nodes it reads)} for
+    every function, class and assigned name at the top level of
+    src/spectre, and for every public method of a public class, named
+    `Class.method`.  A top-level name is reached by its bare name or as an
+    attribute, a method as an attribute only.  A class reads its nodes
+    but its public methods: each of those is reached on its own."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [node.name]
+            if _is_function(node) or isinstance(node, ast.ClassDef):
+                names, nodes = [node.name], [node]
             elif isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets
                          if isinstance(t, ast.Name)]
+                nodes = [node]
             elif isinstance(node, ast.AnnAssign) and \
                     isinstance(node.target, ast.Name):
-                names = [node.target.id]
+                names, nodes = [node.target.id], [node]
             else:
                 continue
-            found.update(((path.stem, name), node) for name in names)
+            if isinstance(node, ast.ClassDef) and \
+                    not node.name.startswith("_"):
+                methods = [n for n in node.body if _is_function(n)
+                           and not n.name.startswith("_")]
+                found.update(((path.stem, f"{node.name}.{n.name}"),
+                              ({"." + n.name}, [n])) for n in methods)
+                nodes = [n for n in node.body if n not in methods] + \
+                    node.bases + node.decorator_list
+            found.update(((path.stem, name), ({name, "." + name}, nodes))
+                         for name in names)
     return found
 
 
-def _names_read(node):
-    """Every name a node reads, bare or as an attribute."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
+def _names_read(nodes):
+    """Every name the nodes read: a bare name as itself, an attribute
+    with a leading dot."""
+    return {n.id if isinstance(n, ast.Name) else "." + n.attr
+            for node in nodes for n in ast.walk(node)
             if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
             or isinstance(n, ast.Attribute)}
 
 
 def _reached_from_cli():
-    """The static closure of the names cli.py reads: a top-level
-    definition, in any module, whose name a reached body reads is reached
-    too.  Names are matched without their module, so a shared name
-    reaches every definition that bears it."""
-    definitions = _top_level_definitions()
-    read = _names_read(ast.parse((PACKAGE / "cli.py").read_text(
-        encoding="utf-8")))
+    """The static closure of the names cli.py reads: a definition, in any
+    module, whose name a reached body reads is reached too.  Names are
+    matched without their module or class, so a shared name reaches every
+    definition that bears it."""
+    definitions = _definitions()
+    read = _names_read([ast.parse((PACKAGE / "cli.py").read_text(
+        encoding="utf-8"))])
     reached = set()
     while True:
-        new = {key for key in definitions
-               if key[1] in read and key not in reached}
+        new = {key for key, (reads, _) in definitions.items()
+               if reads & read and key not in reached}
         if not new:
             return definitions, reached
         reached |= new
         for key in new:
-            read |= _names_read(definitions[key])
+            read |= _names_read(definitions[key][1])
 
 
 def test_every_public_name_is_reached_or_listed():
     """North star 2: src/ holds what a command runs.  A public top-level
-    name that no command reaches is library API or bound by the
-    benchmark, and says so; anything else belongs in tests/ or nowhere."""
+    name, or a public method of a public class, that no command reaches
+    is library API or bound by the benchmark, and says so; anything else
+    belongs in tests/ or nowhere."""
     assert LIBRARY_API.keys() & BENCHMARK_BOUND.keys() == set()
     definitions, reached = _reached_from_cli()
     unreached = {f"{module}.{name}" for module, name in definitions
