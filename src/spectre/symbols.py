@@ -170,23 +170,23 @@ _LIGHT = ('xi', 'x')
 
 def canon_mono(spow, tens, mat, coeff):
     """Canonical (spow, tens, mat, coeff) under dummy renaming, commuting
-    factor reordering and the per-factor symmetry groups."""
+    factor reordering and symmetries; folded xi_i xi_i pairs add to spow."""
     if not coeff:
         return None
-    res = _canon_cached(spow, tens, mat)
+    res = _canon_cached(tens, mat)
     if res is None:
         return None
-    spow, tens, mat, sign = res
-    return spow, tens, mat, coeff if sign > 0 else -coeff
+    pairs, tens, mat, sign = res
+    return spow + pairs, tens, mat, coeff if sign > 0 else -coeff
 
 
 @functools.lru_cache(maxsize=500_000)
-def _canon_cached(spow, tens, mat):
-    """Coefficient-independent canonical form: returns
-    (spow, tens, mat, sign) or None when the monomial cancels against
-    itself.
+def _canon_cached(tens, mat):
+    """Canonical (pairs, tens, mat, sign) of the factors alone, for every
+    norm power and coefficient: pairs counts the xi_i xi_i pairs folded into
+    the norm power.  None when the monomial cancels against itself.
 
-    The representative is the least (spow, sorted tensor factors, matrix
+    The representative is the least (sorted tensor factors, matrix
     factors) over every candidate: an ordering of the heavy factors
     (everything except xi and x) within their shape groups, times one
     symmetry image of each, with dummies renamed -1, -2, ... in order of
@@ -207,7 +207,6 @@ def _canon_cached(spow, tens, mat):
     xi = [f[1] for f in tens if f[0] == 'xi']
     pairs = {i for i in xi if xi.count(i) == 2}
     tens = [f for f in tens if f[0] != 'xi' or f[1] not in pairs]
-    spow = spow + len(pairs)
 
     counts = {}
     for f in tens + list(mat):
@@ -303,7 +302,7 @@ def _canon_cached(spow, tens, mat):
     if len(best_signs) == 2:
         # the monomial maps to minus itself under its symmetries
         return None
-    return spow, tuple(best_heavy + best_light), mat, best_signs.pop()
+    return len(pairs), tuple(best_heavy + best_light), mat, best_signs.pop()
 
 
 # ----------------------------------------------------------------------

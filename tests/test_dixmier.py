@@ -8,6 +8,7 @@ they check.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ def test_partial_sums_refuses_checkpoints_that_are_not_term_indices(ns):
     seq = dx.SingularValueSeq(_unsummed, name="unsummed")
     with pytest.raises(ValueError, match="list of integers 0 <= N"):
         dx.partial_sums(seq, ns)
+
+
+def test_float_checkpoint_at_2_63_is_refused_before_its_cast():
+    """2.0**63 is integral but past int64: the bound refuses it, where a
+    cast would overflow with a RuntimeWarning."""
+    seq = dx.SingularValueSeq(_unsummed, name="unsummed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="list of integers 0 <= N"):
+            dx.partial_sums(seq, [2.0**63])
 
 
 def test_partial_sums_boundary_inputs():
@@ -450,11 +461,39 @@ def test_measurability_rejects_nan_tol():
         dx.is_measurable(dx.harmonic(), math.nan)
 
 
+def test_measurability_fits_the_two_documented_schedules(monkeypatch):
+    """The estimates run over 2^10, 2^12, ..., 2^18 and over
+    floor(2^10.5), ..., floor(2^18.5), here floor(sqrt(2^(2k + 1)))
+    in integers."""
+    schedules = []
+    estimate = dx.dixmier_estimate
+
+    def spy(seq, schedule):
+        schedules.append(list(schedule))
+        return estimate(seq, schedule)
+
+    monkeypatch.setattr(dx, "dixmier_estimate", spy)
+    assert dx.is_measurable(dx.harmonic(), 0.05)
+    assert schedules == [[2**k for k in range(10, 19, 2)],
+                         [math.isqrt(2**(2 * k + 1))
+                          for k in range(10, 19, 2)]]
+    assert schedules[1] == [1448, 5792, 23170, 92681, 370727]
+
+
 def test_oscillator_really_oscillates():
     s = dx.block_oscillator()
     ratios = [dx.partial_ratio(s, n)
               for n in (2**8, 2**12, 2**16, 2**20, 2**22)]
     assert max(ratios) - min(ratios) > 0.3
+
+
+def test_block_oscillator_first_terms():
+    """The slope-1 level carries 1/n from n = 1, and the slope-3 level
+    from n = 8 carries 3/(n + 16), which enters at 1/8."""
+    values, counts = dx.block_oscillator().runs(10)
+    assert values.tolist() == [1 / n for n in range(1, 8)] + \
+        [3 / (n + 16) for n in range(8, 11)]
+    assert counts.tolist() == [1] * 10
 
 
 def test_sequence_validation():

@@ -161,7 +161,8 @@ def test_grading_bookkeeping():
 def canon_brute_force(spow, tens, mat):
     """The canonicalizer before pruning: every candidate ordering and
     image of the heavy factors is relabelled in full and compared.  The
-    oracle of `symbols._canon_cached`, which must return the same tuple."""
+    oracle of `canon_mono`, with its coefficient's sign as +1 or -1 (see
+    `_at_power`)."""
     tens, mat = symbols._resolve_deltas(tens, mat)
 
     # xi_i xi_i pairs are the squared norm itself
@@ -258,6 +259,20 @@ def canon_brute_force(spow, tens, mat):
     return spow, tens, mat, best_signs.pop()
 
 
+def _at_power(canon):
+    """`canon_mono` at coefficient 1 built on `canon`, the cached
+    canonicalizer or its uncached search: the folded pairs are added to
+    the key's norm power, and the sign stays +1 or -1, the form
+    `canon_brute_force` returns."""
+    def at(spow, tens, mat):
+        res = canon(tens, mat)
+        if res is None:
+            return None
+        pairs, tens, mat, sign = res
+        return spow + pairs, tens, mat, sign
+    return at
+
+
 def _outcome(canon, key):
     try:
         return canon(*key)
@@ -292,39 +307,43 @@ def test_every_cache_is_cleared_before_the_sweep():
 
 @pytest.fixture(scope="module")
 def wres_sweep():
-    """Every key a fresh-cache `wres --p 3..12` sweep canonicalizes, in
-    one process, and the cache counters after it."""
-    real = symbols._canon_cached
+    """Every key, with its norm power, that a fresh-cache
+    `wres --p 3..12` sweep canonicalizes in one process, mapped to the
+    number of calls; and the cache counters after it."""
+    real = symbols.canon_mono
     for cache in _caches(ENGINE_MODULES):
         cache.cache_clear()
     keys = {}
 
-    def spy(spow, tens, mat):
-        keys[spow, tens, mat] = None
-        return real(spow, tens, mat)
+    def spy(spow, tens, mat, coeff):
+        keys[spow, tens, mat] = keys.get((spow, tens, mat), 0) + 1
+        return real(spow, tens, mat, coeff)
 
-    symbols._canon_cached = spy
+    symbols.canon_mono = spy
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             for p in range(3, 13):
                 assert main(["wres", "--p", str(p)]) == 0
     finally:
-        symbols._canon_cached = real
-    return list(keys), real.cache_info()
+        symbols.canon_mono = real
+    return keys, symbols._canon_cached.cache_info()
 
 
 def test_wres_sweep_cache_counters(wres_sweep):
     """The counts perfbench reports as symbols.canon_*: the search is
-    all inside the cached function, and every key reaches it."""
+    all inside the cached function, every call reaches it, and it misses
+    once per tensor part, whatever the norm powers it is met with."""
     keys, info = wres_sweep
-    assert (info.misses, info.hits) == (498, 486)
-    assert len(keys) == info.misses
+    assert (info.misses, info.hits) == (213, 771)
+    assert len({(tens, mat) for _, tens, mat in keys}) == info.misses
+    assert sum(keys.values()) == info.misses + info.hits
+    assert len(keys) == 498
 
 
 def test_canon_matches_brute_force_on_wres_sweep(wres_sweep):
     keys, _ = wres_sweep
     bad = [k for k in keys
-           if _outcome(symbols._canon_cached, k)
+           if _outcome(_at_power(symbols._canon_cached), k)
            != _outcome(canon_brute_force, k)]
     assert bad == []
 
@@ -384,8 +403,34 @@ def monomials(draw):
 @settings(max_examples=300, deadline=None)
 @given(monomials())
 def test_canon_matches_brute_force_on_random_monomials(key):
-    assert _outcome(symbols._canon_cached.__wrapped__, key) == \
+    assert _outcome(_at_power(symbols._canon_cached.__wrapped__), key) == \
         _outcome(canon_brute_force, key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials(), st.integers(-12, 4), st.sampled_from([1, 2]))
+def test_canonicalization_commutes_with_the_norm_power(key, num, den):
+    """canon_mono at two norm powers gives the same factors and sign, and
+    powers that differ as the inputs' do; each result is the brute-force
+    one at its own power."""
+    spow, tens, mat = key
+    powers = (spow, Fraction(num, den))
+
+    def signed(s, tens, mat):
+        res = canon_mono(s, tens, mat, ONE)
+        if res is None:
+            return None
+        s, tens, mat, coeff = res
+        return s, tens, mat, 1 if coeff == ONE else -1
+
+    at = [_outcome(signed, (s, tens, mat)) for s in powers]
+    for s, res in zip(powers, at):
+        assert res == _outcome(canon_brute_force, (s, tens, mat))
+    if at[0] is None or at[0][0] is ValueError:
+        assert at[1] == at[0]
+    else:
+        assert at[1][1:] == at[0][1:]
+        assert at[1][0] - at[0][0] == powers[1] - powers[0]
 
 
 def _docstring_tensor_kinds():
@@ -418,7 +463,7 @@ def _canonical(key):
     """The canonical key of a monomial, or None when it cancels against
     itself or holds a traced delta."""
     try:
-        res = symbols._canon_cached.__wrapped__(*key)
+        res = _at_power(symbols._canon_cached.__wrapped__)(*key)
     except ValueError:
         return None
     return None if res is None else res[:3]
@@ -432,13 +477,14 @@ def _filter_quantities(key):
 
 
 def _assert_canonicalized_once(key):
-    """A canonical key is its own representative, with sign +1, which
-    SymbolExpr._put relies on; and it keeps the quantities compose's
-    filters read of the raw key."""
+    """A canonical key is its own representative, with no xi_i xi_i pair
+    left to fold and sign +1, which SymbolExpr._put relies on; and it
+    keeps the quantities compose's filters read of the raw key."""
     canonical = _canonical(key)
     if canonical is not None:
-        assert symbols._canon_cached.__wrapped__(*canonical) == \
-            canonical + (1,)
+        _, tens, mat = canonical
+        assert symbols._canon_cached.__wrapped__(tens, mat) == \
+            (0, tens, mat, 1)
         assert _filter_quantities(key) == _filter_quantities(canonical)
 
 
@@ -528,24 +574,24 @@ def _engine_compositions():
 @pytest.fixture(scope="module")
 def reference_run():
     """For every composition of the residue computation, whether compose
-    and compose_reference give the same terms; and every key the
-    reference canonicalizes, which is every product the engine formed
-    before it filtered them."""
+    and compose_reference give the same terms; and every key, with its
+    norm power, the reference canonicalizes, which is every product the
+    engine formed before it filtered them."""
     drop = wodzicki._curvature_budget
-    real = symbols._canon_cached
+    real = symbols.canon_mono
     keys = {}
 
-    def spy(spow, tens, mat):
+    def spy(spow, tens, mat, coeff):
         keys[spow, tens, mat] = None
-        return real(spow, tens, mat)
+        return real(spow, tens, mat, coeff)
 
     same = {}
     for name, P, Q, cut in _engine_compositions():
-        symbols._canon_cached = spy
+        symbols.canon_mono = spy
         try:
             ref = compose_reference(P, Q, cut, drop)
         finally:
-            symbols._canon_cached = real
+            symbols.canon_mono = real
         same[name] = compose(P, Q, cut, drop).terms == ref.terms
     return same, list(keys)
 
@@ -563,7 +609,7 @@ def test_canon_matches_brute_force_on_reference_products(reference_run):
     _, keys = reference_run
     assert len(keys) > 3000
     bad = [k for k in keys
-           if _outcome(symbols._canon_cached, k)
+           if _outcome(_at_power(symbols._canon_cached), k)
            != _outcome(canon_brute_force, k)]
     assert bad == []
 
