@@ -236,8 +236,7 @@ def cmd_wres(args):
         {"spow": str(spow), "tens": _fmt_factors(tens),
          "mat": _fmt_factors(mat),
          "coeff": {"re": str(c.re), "im": str(c.im)}}
-        for (spow, tens, mat), c in sorted(
-            raw.terms.items(), key=lambda kv: str(kv[0]))]
+        for spow, tens, mat, c in raw.printed_terms()]
     payload["cosphere_invariant"] = {k: str(v) for k, v in
                                      inv.as_dict().items()}
     _emit(payload, args.format)

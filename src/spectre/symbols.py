@@ -7,6 +7,12 @@ label appearing twice in a monomial is contracted, a label appearing once
 is free.  Matrix factors (spinor-endomorphism valued coefficients) keep
 their order.
 
+A monomial's key is (h, tens, mat), where the int h = 2k counts the norm
+power in half-powers: k lies in (1/2)Z (|D| has S^(1/2)), so every power
+and xi-grade the engine computes is int arithmetic.  A Fraction k is made
+only where a power is read or written: `SymbolExpr.mono(spow=k)`,
+`sigma2_pow(k)` and `SymbolExpr.printed_terms`.
+
 Tensor factor kinds
     ('xi', i)            covector component
     ('x', i)             chart coordinate (jets are explicit x-polynomials)
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .rationals import GQ, ONE
@@ -168,16 +175,17 @@ def _resolve_deltas(tens, mat):
 _LIGHT = ('xi', 'x')
 
 
-def canon_mono(spow, tens, mat, coeff):
-    """Canonical (spow, tens, mat, coeff) under dummy renaming, commuting
-    factor reordering and symmetries; folded xi_i xi_i pairs add to spow."""
+def canon_mono(h, tens, mat, coeff):
+    """Canonical (h, tens, mat, coeff) under dummy renaming, commuting
+    factor reordering and symmetries; each folded xi_i xi_i pair adds one
+    norm power, two half-powers, to h."""
     if not coeff:
         return None
     res = _canon_cached(tens, mat)
     if res is None:
         return None
     pairs, tens, mat, sign = res
-    return spow + pairs, tens, mat, coeff if sign > 0 else -coeff
+    return h + 2 * pairs, tens, mat, coeff if sign > 0 else -coeff
 
 
 @functools.lru_cache(maxsize=500_000)
@@ -309,7 +317,9 @@ def _canon_cached(tens, mat):
 # symbol expressions
 
 class SymbolExpr:
-    """Canonicalized sum of tensor monomials, valid in every dimension."""
+    """Canonicalized sum of tensor monomials, valid in every dimension:
+    `terms` maps each canonical key (h, tens, mat), h the norm power in
+    half-powers, to its nonzero GQ coefficient."""
 
     __slots__ = ("terms",)
 
@@ -320,19 +330,19 @@ class SymbolExpr:
     @classmethod
     def mono(cls, coeff=ONE, spow=0, tens=(), mat=()):
         e = cls()
-        e._accum(Fraction(spow), tuple(tens), tuple(mat), _gq(coeff))
+        e._accum(_half_powers(spow), tuple(tens), tuple(mat), _gq(coeff))
         return e
 
     @classmethod
     def const(cls, coeff):
         return cls.mono(coeff=coeff)
 
-    def _accum(self, spow, tens, mat, coeff):
-        c = canon_mono(spow, tens, mat, coeff)
+    def _accum(self, h, tens, mat, coeff):
+        c = canon_mono(h, tens, mat, coeff)
         if c is None:
             return
-        spow, tens, mat, coeff = c
-        self._put((spow, tens, mat), coeff)
+        h, tens, mat, coeff = c
+        self._put((h, tens, mat), coeff)
 
     def _put(self, key, coeff):
         """Add coeff at a key that is already canonical, such as a key of
@@ -373,12 +383,12 @@ class SymbolExpr:
         its canonical dummies -1..-k and the right one's are shifted below
         them."""
         out = SymbolExpr()
-        for (sp1, t1, m1), c1 in self.terms.items():
+        for (h1, t1, m1), c1 in self.terms.items():
             k = _dummy_depth(t1 + m1)
-            for (sp2, t2, m2), c2 in other.terms.items():
+            for (h2, t2, m2), c2 in other.terms.items():
                 if _xdeg_t(t1) + _xdeg_t(t2) > X_JET_ORDER:
                     continue
-                out._accum(sp1 + sp2, t1 + _shift_dummies(t2, k),
+                out._accum(h1 + h2, t1 + _shift_dummies(t2, k),
                            m1 + _shift_dummies(m2, k), c1 * c2)
         return out
 
@@ -390,7 +400,8 @@ class SymbolExpr:
         return isinstance(other, SymbolExpr) and self.terms == other.terms
 
     def xi_degree_parts(self):
-        """Map xi-homogeneity degree -> sub-expression (x factors count 0)."""
+        """Map xi-homogeneity degree, an int, -> sub-expression (x factors
+        count 0)."""
         parts = {}
         for key, c in self.terms.items():
             e = parts.setdefault(_xi_grade(key), SymbolExpr())
@@ -398,7 +409,7 @@ class SymbolExpr:
         return parts
 
     def grade(self, deg):
-        return self.xi_degree_parts().get(Fraction(deg), SymbolExpr())
+        return self.xi_degree_parts().get(deg, SymbolExpr())
 
     def max_grade(self):
         parts = self.xi_degree_parts()
@@ -415,41 +426,48 @@ class SymbolExpr:
     def mod_norm(self):
         """Set the squared covector norm to 1 (cosphere restriction)."""
         out = SymbolExpr()
-        for (spow, tens, mat), c in self.terms.items():
-            out._accum(Fraction(0), tens, mat, c)
+        for (_, tens, mat), c in self.terms.items():
+            out._accum(0, tens, mat, c)
         return out
 
     # -- calculus --------------------------------------------------------
     def diff_xi(self, idx):
         out = SymbolExpr()
-        for (spow, tens, mat), c in self.terms.items():
-            if spow:
-                # d/dxi_idx S^k = 2 k xi_idx S^(k-1)
-                out._accum(spow - 1, tens + (('xi', idx),), mat,
-                           c * GQ(2 * spow))
+        for (h, tens, mat), c in self.terms.items():
+            if h:
+                # d/dxi_idx S^k = 2 k xi_idx S^(k-1), and 2 k = h
+                out._accum(h - 2, tens + (('xi', idx),), mat, c * GQ(h))
             for pos, f in enumerate(tens):
                 if f[0] != 'xi':
                     continue
                 rest = tens[:pos] + tens[pos + 1:] + (('dl', idx, f[1]),)
-                out._accum(spow, rest, mat, c)
+                out._accum(h, rest, mat, c)
         return out
 
     def diff_x(self, idx):
         out = SymbolExpr()
-        for (spow, tens, mat), c in self.terms.items():
+        for (h, tens, mat), c in self.terms.items():
             for pos, f in enumerate(tens):
                 if f[0] != 'x':
                     continue
                 rest = tens[:pos] + tens[pos + 1:] + (('dl', idx, f[1]),)
-                out._accum(spow, rest, mat, c)
+                out._accum(h, rest, mat, c)
+        return out
+
+    def printed_terms(self):
+        """(spow, tens, mat, coeff) of every term, spow the norm power as
+        a Fraction, in print order: sorted by str((spow, tens, mat)).
+        `wres` lists its integrand in this order, and repr its terms."""
+        out = [(Fraction(h, 2), tens, mat, c)
+               for (h, tens, mat), c in self.terms.items()]
+        out.sort(key=lambda t: str(t[:3]))
         return out
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for (spow, tens, mat), c in sorted(
-                self.terms.items(), key=lambda kv: str(kv[0])):
+        for spow, tens, mat, c in self.printed_terms():
             s = [repr(c)]
             if spow:
                 s.append(f"S^{spow}")
@@ -500,9 +518,20 @@ def _xdeg_t(tens):
 
 
 def _xi_grade(key):
-    """xi-homogeneity degree of a monomial key: 2 spow + #xi."""
-    spow, tens, _ = key
-    return 2 * spow + sum(1 for f in tens if f[0] == 'xi')
+    """xi-homogeneity degree of a monomial key, an int: h + #xi."""
+    h, tens, _ = key
+    return h + sum(1 for f in tens if f[0] == 'xi')
+
+
+def _half_powers(spow):
+    """The norm power spow as its int count of half-powers, 2 spow; a
+    power outside (1/2)Z raises ValueError."""
+    if isinstance(spow, int):
+        return 2 * spow
+    h = 2 * Fraction(spow)
+    if h.denominator != 1:
+        raise ValueError(f"norm power {spow} is not a multiple of 1/2")
+    return h.numerator
 
 
 def _gq(c):
@@ -541,7 +570,8 @@ def compose(P, Q, cutoff, drop=None):
     the kinds and counts of the other factors, never labels or the order
     of the commuting factors.
     """
-    cutoff = Fraction(cutoff)
+    # every grade is an int, so g < cutoff exactly when g < ceil(cutoff)
+    cutoff = math.ceil(cutoff)
     if drop is not None:
         P = _pruned(P, drop)
         Q = _pruned(Q, drop)
@@ -574,15 +604,15 @@ def compose(P, Q, cutoff, drop=None):
                  for key, c in Qk.terms.items()]
         scalar = pref * GQ(Fraction(1, fact))
         for key1, c1 in Pk.terms.items():
-            sp1, t1, m1 = key1
+            h1, t1, m1 = key1
             x1 = _xdeg_t(t1)
             g1 = _xi_grade(key1)
             shift = _dummy_depth(t1 + m1)
             c1 = c1 * scalar
-            for x2, g2, (sp2, t2, m2), c2 in right:
+            for x2, g2, (h2, t2, m2), c2 in right:
                 if x1 + x2 > X_JET_ORDER or g1 + g2 < cutoff:
                     continue
-                raw = (sp1 + sp2, t1 + _shift_dummies(t2, shift),
+                raw = (h1 + h2, t1 + _shift_dummies(t2, shift),
                        m1 + _shift_dummies(m2, shift))
                 if drop is not None and drop(raw):
                     continue
@@ -617,13 +647,15 @@ def _pruned(expr, drop):
 
 def sigma2_pow(k):
     """Jet of (squared covector norm)^k in a Riemann normal chart:
-    S^k - (k/6) R(r0,r1,c0,c1) xi xi x x S^(k-1) + O(x^4)."""
-    k = Fraction(k)
+    S^k - (k/6) R(r0,r1,c0,c1) xi xi x x S^(k-1) + O(x^4), for k in
+    (1/2)Z."""
+    h = _half_powers(k)
     r0, r1, c0, c1 = -1, -2, -3, -4
-    e = SymbolExpr.mono(spow=k)
-    e._accum(k - 1,
+    e = SymbolExpr()
+    e._accum(h, (), (), ONE)
+    e._accum(h - 2,
              (('R', r0, r1, c0, c1), ('xi', r0), ('xi', r1),
               ('x', c0), ('x', c1)),
              (),
-             GQ(Fraction(-k, 6)))
+             GQ(Fraction(-h, 12)))
     return e

@@ -63,7 +63,7 @@ def _curvature_budget(key):
     sits exactly 2*(#curvature factors) plus the weights of its matrix
     factors below the leading order; the tracked window is two orders
     deep, so a final deficit above 2 can never contribute."""
-    spow, tens, mat = key
+    _, tens, mat = key
     deficit = 2 * sum(1 for f in tens if f[0] in ('R', 'Rs'))
     for f in mat:
         deficit += _MAT_DEFICIT.get(f[0], 0)
@@ -105,48 +105,6 @@ def inverse_power(m):
     point."""
     acc = power_symbol(m)
     return acc.grade(-2 * m - 1).at_base(), acc.grade(-2 * m - 2).at_base()
-
-
-def closed_form_inverse_power(m):
-    """Base-point closed form of sigma_{-2m-2} of the (-2m)-th power,
-    solving the composition recursion:
-
-        m S^{1-m} s4 + m(m-1)/2 S^{2-m} s3^2 + i m(m-1) S^{-m} xi.dx(s3)
-        + m(m-1)/6 S^{-m-2} (delta-traced R) xi xi
-        - (2/9) m(m+1)(m-1) S^{-m-3} xi xi R xi xi
-
-    The xi xi R xi xi coefficient differs from the tabulated -4/9 value;
-    the recursion with the stored derivative table forces -2/9 (see the
-    golden tests for the comparison).
-    """
-    par = parametrix_D2()
-    s3 = par[-3]
-    s4 = par[-4]
-    out = s4.at_base().scale(GQ(m)) * SymbolExpr.mono(spow=-m + 1)
-    out = out + (s3.at_base() * s3.at_base() *
-                 SymbolExpr.mono(spow=-m + 2)
-                 ).scale(GQ(Fraction(m * (m - 1), 2)))
-    # label 1 is free in both factors, so the product contracts it
-    xi_dx_s3 = (SymbolExpr.mono(tens=(('xi', 1),)) *
-                s3.diff_x(1).at_base())
-    out = out + (xi_dx_s3 * SymbolExpr.mono(spow=-m)
-                 ).scale(I * GQ(m * (m - 1)))
-    out = out + _delta_R_xixi(spow=-m - 2).scale(
-        GQ(Fraction(m * (m - 1), 6)))
-    out = out + _xixi_R_xixi(spow=-m - 3).scale(
-        GQ(Fraction(-2 * m * (m + 1) * (m - 1), 9)))
-    return out
-
-
-def _delta_R_xixi(spow):
-    return SymbolExpr.mono(spow=spow, tens=(('R', -1, -2, -3, -3),
-                                            ('xi', -1), ('xi', -2)))
-
-
-def _xixi_R_xixi(spow):
-    return SymbolExpr.mono(spow=spow, tens=(('R', -1, -2, -3, -4),
-                                            ('xi', -1), ('xi', -2),
-                                            ('xi', -3), ('xi', -4)))
 
 
 # ----------------------------------------------------------------------
@@ -230,17 +188,17 @@ def cosphere_integrate(expr, p):
         raise ValueError("cosphere integrand must be homogeneous")
     expr = expr.mod_norm()
     out = SymbolExpr()
-    for (spow, tens, mat), c in expr.terms.items():
+    for (h, tens, mat), c in expr.terms.items():
         xis = [f for f in tens if f[0] == 'xi']
         rest = tuple(f for f in tens if f[0] != 'xi')
         n = len(xis)
         if n % 2 == 1:
             continue
         if n == 0:
-            out._accum(spow, rest, mat, c)
+            out._accum(h, rest, mat, c)
         elif n == 2:
             i, j = xis[0][1], xis[1][1]
-            out._accum(spow, rest + (('dl', i, j),), mat,
+            out._accum(h, rest + (('dl', i, j),), mat,
                        c * GQ(Fraction(1, p)))
         elif n == 4:
             i, j, k, l = (f[1] for f in xis)
@@ -248,7 +206,7 @@ def cosphere_integrate(expr, p):
             for pairing in (((i, j), (k, l)), ((i, k), (j, l)),
                             ((i, l), (j, k))):
                 dls = tuple(('dl',) + pr for pr in pairing)
-                out._accum(spow, rest + dls, mat, c * w)
+                out._accum(h, rest + dls, mat, c * w)
         else:
             raise ValueError("moments beyond degree four are not supported")
     out = _reduce_curvature_traces(out)
@@ -259,7 +217,7 @@ def _reduce_curvature_traces(expr):
     """Map the two fully traced curvature patterns onto the scalar:
     R(a,a,b,b) -> Rs and the cross trace R(a,b,a,b) -> -1/2 Rs."""
     out = SymbolExpr()
-    for (spow, tens, mat), c in expr.terms.items():
+    for (h, tens, mat), c in expr.terms.items():
         tens = list(tens)
         coeff = c
         changed = True
@@ -284,7 +242,7 @@ def _reduce_curvature_traces(expr):
             if f[0] == 'R':
                 raise ValueError(f"unreduced curvature factor {f} after "
                                  "cosphere moments")
-        out._accum(spow, tuple(tens), mat, coeff)
+        out._accum(h, tuple(tens), mat, coeff)
     return out
 
 
@@ -295,7 +253,7 @@ def _classify_invariants(expr, scale=1):
     and torsion factors together (`w` with `t`), is a covariant curl: a
     total divergence under the volume integral."""
     inv = ScalarInvariant()
-    for (spow, tens, mat), c in expr.terms.items():
+    for (_, tens, mat), c in expr.terms.items():
         if c.im != 0:
             raise ValueError("imaginary coefficient in a scalar invariant")
         val = c.re * scale
@@ -399,14 +357,14 @@ def _divergence_of_a(a_expr):
     """a^m_{,m}: close the open slot with a derivative index."""
     out = SymbolExpr()
     deriv_kind = {'om': 'dom', 'T': 'dT'}
-    for (spow, tens, mat), c in a_expr.terms.items():
+    for (h, tens, mat), c in a_expr.terms.items():
         if len(mat) != 1 or mat[0][0] not in deriv_kind:
             raise ValueError("first-order coefficient must be a sum of "
                              "single connection/torsion factors")
         kind, idx = mat[0][0], mat[0][1]
         if idx != FREE_MU:
             raise AssertionError(f"open slot {idx} is not FREE_MU")
-        out._accum(spow, tens, ((deriv_kind[kind], -1, -1),), c)
+        out._accum(h, tens, ((deriv_kind[kind], -1, -1),), c)
     return out
 
 
@@ -504,9 +462,9 @@ def spinor_trace_poly(expr):
     gamma words once, and each word is traced once, for every p."""
     # expand matrix factors into gamma bilinears
     total = SymbolExpr()
-    for (spow, tens, mat), c in expr.terms.items():
+    for (h, tens, mat), c in expr.terms.items():
         tens, mat = relabel_free(tens, mat)
-        pieces = [SymbolExpr.mono(coeff=c, spow=spow, tens=tens)]
+        pieces = [SymbolExpr.mono(coeff=c, spow=Fraction(h, 2), tens=tens)]
         for f in mat:
             kind = f[0]
             if kind == 'g':
@@ -534,7 +492,7 @@ def spinor_trace_poly(expr):
         total = total + term
     # trace pure gamma words
     out = ()
-    for (spow, tens, mat), c in total.terms.items():
+    for (h, tens, mat), c in total.terms.items():
         tens, mat = relabel_free(tens, mat)
         labels = []
         for f in mat:
@@ -542,7 +500,7 @@ def spinor_trace_poly(expr):
                 raise AssertionError(f"non-gamma factor {f[0]!r} left "
                                      "to trace")
             labels.append(f[1])
-        pre = SymbolExpr.mono(coeff=c, spow=spow, tens=tens)
+        pre = SymbolExpr.mono(coeff=c, spow=Fraction(h, 2), tens=tens)
         out = _add_trace_polys(out, tuple(
             pre * tr for tr in word_trace_poly(tuple(labels))))
     return out

@@ -11,9 +11,12 @@ from fractions import Fraction
 import numpy as np
 
 from spectre import univdiff as ud
+from spectre import wodzicki
 from spectre.clifford import Signature, build_gammas
 from spectre.dixmier import SingularValueSeq
 from spectre.model_triples import MetricGraph
+from spectre.rationals import GQ, I
+from spectre.symbols import SymbolExpr
 
 # ----------------------------------------------------------------------
 # rationals: the Gaussian rationals as a pair of Fractions, the form
@@ -130,6 +133,64 @@ def numeric_word_trace(word, p):
     if free:
         raise ValueError("numeric oracle needs fully contracted words")
     return rec({}, dummies)
+
+
+# ----------------------------------------------------------------------
+# symbols and wodzicki: norm powers as keys hold them, and the closed form
+# of the even case
+
+def half_powers(spow):
+    """The norm power spow as a key of `SymbolExpr.terms` holds it: the
+    int 2 spow, its count of half-powers."""
+    h = 2 * Fraction(spow)
+    if h.denominator != 1:
+        raise ValueError(f"norm power {spow} is not a multiple of 1/2")
+    return h.numerator
+
+
+def closed_form_inverse_power(m):
+    """Base-point closed form of sigma_{-2m-2} of the (-2m)-th power,
+    solving the composition recursion; the reference of
+    `wodzicki.inverse_power` and of the even integrand:
+
+        m S^{1-m} s4 + m(m-1)/2 S^{2-m} s3^2 + i m(m-1) S^{-m} xi.dx(s3)
+        + m(m-1)/6 S^{-m-2} (delta-traced R) xi xi
+        - (2/9) m(m+1)(m-1) S^{-m-3} xi xi R xi xi
+
+    The xi xi R xi xi coefficient differs from the tabulated -4/9 value;
+    the recursion with the stored derivative table forces -2/9 (see the
+    golden tests for the comparison).
+    """
+    par = wodzicki.parametrix_D2()
+    s3 = par[-3]
+    s4 = par[-4]
+    out = s4.at_base().scale(GQ(m)) * SymbolExpr.mono(spow=-m + 1)
+    out = out + (s3.at_base() * s3.at_base() *
+                 SymbolExpr.mono(spow=-m + 2)
+                 ).scale(GQ(Fraction(m * (m - 1), 2)))
+    # label 1 is free in both factors, so the product contracts it
+    xi_dx_s3 = (SymbolExpr.mono(tens=(('xi', 1),)) *
+                s3.diff_x(1).at_base())
+    out = out + (xi_dx_s3 * SymbolExpr.mono(spow=-m)
+                 ).scale(I * GQ(m * (m - 1)))
+    out = out + delta_R_xixi(spow=-m - 2).scale(
+        GQ(Fraction(m * (m - 1), 6)))
+    out = out + xixi_R_xixi(spow=-m - 3).scale(
+        GQ(Fraction(-2 * m * (m + 1) * (m - 1), 9)))
+    return out
+
+
+def delta_R_xixi(spow):
+    """S^spow R(a, b, c, c) xi_a xi_b."""
+    return SymbolExpr.mono(spow=spow, tens=(('R', -1, -2, -3, -3),
+                                            ('xi', -1), ('xi', -2)))
+
+
+def xixi_R_xixi(spow):
+    """S^spow R(a, b, c, d) xi_a xi_b xi_c xi_d."""
+    return SymbolExpr.mono(spow=spow, tens=(('R', -1, -2, -3, -4),
+                                            ('xi', -1), ('xi', -2),
+                                            ('xi', -3), ('xi', -4)))
 
 
 # ----------------------------------------------------------------------

@@ -286,6 +286,62 @@ def test_torus_bands_match_shells(monkeypatch, p, radii, offsets):
     assert np.array_equal(counts, points[keep] * 2 ** (p // 2))
 
 
+@pytest.mark.parametrize("p, radii", [(2, (1.0, 1.37)), (3, (2.0, 1.0, 0.7)),
+                                      (4, (1.0, 1.37, 0.5, 0.7))])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_torus_bands_hold_the_weyl_count(monkeypatch, p, radii, offset):
+    """A band's width in lambda^p is its Weyl count over the volume of
+    the unit ball times the radii, so each band but the last holds close
+    to 2^p CHUNK_RUNS lattice points, CHUNK_RUNS of them with every
+    k_j >= 0: a wrong volume changes no run, only how many bands carry
+    them."""
+    monkeypatch.setattr(dx, "CHUNK_RUNS", 2**8)
+    spec = mt.TorusSpec(p=p, radii=radii, offsets=(offset,) * p)
+    mult, band = 2 ** (p // 2), 2 ** p * 2**8
+    chunks = list(mt.torus_singular_values(spec).chunks(30 * band * mult))
+    assert 30 <= len(chunks) <= 32
+    for _, counts in chunks[:-1]:
+        assert 0.85 < counts.sum() / mult / band < 1.15
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_torus_short_stream_enumerates_one_band_of_its_terms(monkeypatch,
+                                                             p):
+    """Asked for n terms, fewer than a full band holds, the stream merges
+    one band of about n terms (the tally, at unit radii), not a full
+    band cut short."""
+    bands = []
+    real = mt._add_axis
+
+    def spy(keys, points, axis2, weight, lo, hi, grid=None):
+        out = real(keys, points, axis2, weight, lo, hi, grid)
+        if grid:
+            bands.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(mt, "_add_axis", spy)
+    spec = mt.TorusSpec(p=p, radii=(1.0,) * p, offsets=(0.0,) * p)
+    mult, n = 2 ** (p // 2), 20_000
+    counts = mt.torus_singular_values(spec).runs(n)[1]
+    assert counts.sum() >= n
+    assert 1 <= len(bands) <= 2
+    assert 0.85 < bands[0] * mult / n < 1.15
+
+
+def test_torus_sum_rounding_onto_a_band_edge_stays_in_the_band():
+    """8.012 + 991.9879999999999 rounds to 1000.0, yet the axis term lies
+    below the rounded 1000.0 - 8.012; the searchsorted window's slack
+    keeps the sum in the band [1000, 2000), and out of [1, 1000)."""
+    key, term, edge = 8.012, 991.9879999999999, 1000.0
+    assert key + term == edge and term < edge - key
+    args = (np.array([key]), np.array([1]), np.array([0.0, term]),
+            np.array([1, 1]))
+    sums, weights = mt._add_axis(*args, edge, 2 * edge)
+    assert sums.tolist() == [edge] and weights.tolist() == [1]
+    sums, _ = mt._add_axis(*args, 1.0, edge)
+    assert sums.tolist() == [key]
+
+
 def test_torus_radii_past_float64_raise():
     """A product of radii past float64 leaves the bands no width: the
     stream raises rather than loop."""

@@ -231,8 +231,6 @@ LIBRARY_API = {
     "wodzicki.gravity_action": "the action coefficients of one p",
     "wodzicki.quadratic_form_coeff": "the torsion quadratic form of one p",
     "wodzicki.inverse_power": "the symbols of a negative power of D^2",
-    "wodzicki.closed_form_inverse_power": "their closed form, the even "
-                                          "case's reference",
     "wodzicki.parametrix_D2": "the parametrix jets of D^2",
     "wodzicki.gamma_word_trace": "the spinor trace of one gamma word",
     "wodzicki.spinor_trace": "the spinor trace of a matrix-word expression",

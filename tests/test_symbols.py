@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectre
-from fixtures import fresh_label, numeric_word_trace
+from fixtures import fresh_label, half_powers, numeric_word_trace
 from spectre import clifford, symbols, wodzicki
 from spectre.cli import main
 from spectre.rationals import GQ, I, ONE
@@ -35,7 +35,7 @@ def test_gaussian_rational_field():
 
 
 def test_canonical_idempotent():
-    res = canon_mono(Fraction(-2),
+    res = canon_mono(half_powers(-2),
                      (('xi', 1000), ('R', 1001, 1000, 1002, 1003),
                       ('xi', 1001), ('x', 1002), ('x', 1003)),
                      (), ONE)
@@ -53,7 +53,7 @@ def test_dummy_relabel_invariance(perm):
     def build(labels):
         l = labels
         return canon_mono(
-            Fraction(-1),
+            half_powers(-1),
             (('R', l[0], l[1], l[2], l[3]), ('xi', l[0]), ('xi', l[1]),
              ('xi', l[2]), ('xi', l[3]), ('xi', l[4]), ('xi', l[4]),
              ('x', l[5]), ('x', l[5])),
@@ -63,13 +63,13 @@ def test_dummy_relabel_invariance(perm):
 
 
 def test_antisymmetric_self_contraction_vanishes():
-    assert canon_mono(Fraction(0), (('t', 1000, 1001, 1001),), (), ONE) \
+    assert canon_mono(half_powers(0), (('t', 1000, 1001, 1001),), (), ONE) \
         is None
 
 
 def test_xi_pair_becomes_norm_power():
     e = mono(tens=(('xi', 1000), ('xi', 1000)))
-    assert e.terms == {(Fraction(1), (), ()): ONE}
+    assert e.terms == {(half_powers(1), (), ()): ONE}
     # an expression compares by its mutable terms, so it has no hash
     with pytest.raises(TypeError):
         hash(SymbolExpr())
@@ -92,7 +92,7 @@ def test_mul_contracts_shared_free_labels():
     b = mono(tens=(('xi', 5),))
     prod = a * b
     # xi_5 xi_5 with 5 free on both sides: contraction makes it the norm
-    assert prod.terms == {(Fraction(1), (), ()): ONE}
+    assert prod.terms == {(half_powers(1), (), ()): ONE}
 
 
 def test_compose_identity_symbol():
@@ -155,14 +155,46 @@ def test_grading_bookkeeping():
     assert set(parts) == {Fraction(-3)}
 
 
+def test_norm_power_outside_half_integers_is_refused():
+    """A key counts the norm power in half-powers, so S^(1/3) has no key:
+    both constructors that take a power refuse it, naming it."""
+    for build in (lambda k: mono(spow=k), sigma2_pow):
+        with pytest.raises(ValueError, match="norm power 1/3 "):
+            build(Fraction(1, 3))
+    assert mono(spow=Fraction(-3, 2)).terms == {(-3, (), ()): ONE}
+    assert set(sigma2_pow(Fraction(1, 2)).xi_degree_parts()) == {1}
+
+
+def _engine_keys():
+    """Every key of the symbols the residue computation builds: the power
+    chain to the (-10)-th power, |D|, the integrands p = 3..12 and the
+    traced group polynomial with torsion on and off."""
+    exprs = [wodzicki.power_symbol(m) for m in range(1, 6)]
+    exprs += wodzicki.abs_symbol()
+    exprs += [wodzicki.integrand(p) for p in range(3, 13)]
+    for torsion in (True, False):
+        exprs += wodzicki._group_trace_poly(torsion)
+    return [key for e in exprs for key in e.terms]
+
+
+def test_engine_keys_hold_int_half_powers():
+    """Every norm power and xi-grade the engine computes is a plain int,
+    never a Fraction equal to one."""
+    keys = _engine_keys()
+    assert len(keys) > 100
+    assert {type(key[0]) for key in keys} == {int}
+    assert {type(symbols._xi_grade(key)) for key in keys} == {int}
+    assert {key[0] % 2 for key in keys} == {0, 1}
+
+
 # ----------------------------------------------------------------------
 # the pruned canonicalizer against the unpruned enumeration
 
-def canon_brute_force(spow, tens, mat):
+def canon_brute_force(h, tens, mat):
     """The canonicalizer before pruning: every candidate ordering and
     image of the heavy factors is relabelled in full and compared.  The
     oracle of `canon_mono`, with its coefficient's sign as +1 or -1 (see
-    `_at_power`)."""
+    `_at_power`); h is the key's norm power in half-powers."""
     tens, mat = symbols._resolve_deltas(tens, mat)
 
     # xi_i xi_i pairs are the squared norm itself
@@ -178,7 +210,7 @@ def canon_brute_force(spow, tens, mat):
                 other = seen[f[1]]
                 for q in sorted((pos, other), reverse=True):
                     tens.pop(q)
-                spow = spow + 1
+                h = h + half_powers(1)
                 changed = True
                 break
             seen[f[1]] = pos
@@ -247,7 +279,7 @@ def canon_brute_force(spow, tens, mat):
                 for kd in kinds:
                     fixed_light.append((kd, lab))
             relabeled_tens = tuple(sorted(relabeled_heavy + fixed_light))
-            key = (spow, relabeled_tens, relabeled_mat)
+            key = (h, relabeled_tens, relabeled_mat)
             if best is None or key < best:
                 best = key
                 best_signs = {sign}
@@ -255,8 +287,8 @@ def canon_brute_force(spow, tens, mat):
                 best_signs.add(sign)
     if len(best_signs) == 2:
         return None
-    spow, tens, mat = best
-    return spow, tens, mat, best_signs.pop()
+    h, tens, mat = best
+    return h, tens, mat, best_signs.pop()
 
 
 def _at_power(canon):
@@ -264,12 +296,12 @@ def _at_power(canon):
     canonicalizer or its uncached search: the folded pairs are added to
     the key's norm power, and the sign stays +1 or -1, the form
     `canon_brute_force` returns."""
-    def at(spow, tens, mat):
+    def at(h, tens, mat):
         res = canon(tens, mat)
         if res is None:
             return None
         pairs, tens, mat, sign = res
-        return spow + pairs, tens, mat, sign
+        return h + half_powers(pairs), tens, mat, sign
     return at
 
 
@@ -315,9 +347,9 @@ def wres_sweep():
         cache.cache_clear()
     keys = {}
 
-    def spy(spow, tens, mat, coeff):
-        keys[spow, tens, mat] = keys.get((spow, tens, mat), 0) + 1
-        return real(spow, tens, mat, coeff)
+    def spy(h, tens, mat, coeff):
+        keys[h, tens, mat] = keys.get((h, tens, mat), 0) + 1
+        return real(h, tens, mat, coeff)
 
     symbols.canon_mono = spy
     try:
@@ -397,7 +429,7 @@ def monomials(draw):
     tens = tuple(factors[k] for k in order)
     mat = tuple(factors[len(kinds):])
     spow = Fraction(draw(st.integers(-12, 4)), draw(st.sampled_from([1, 2])))
-    return spow, tens, mat
+    return half_powers(spow), tens, mat
 
 
 @settings(max_examples=300, deadline=None)
@@ -413,8 +445,8 @@ def test_canonicalization_commutes_with_the_norm_power(key, num, den):
     """canon_mono at two norm powers gives the same factors and sign, and
     powers that differ as the inputs' do; each result is the brute-force
     one at its own power."""
-    spow, tens, mat = key
-    powers = (spow, Fraction(num, den))
+    h, tens, mat = key
+    powers = (h, half_powers(Fraction(num, den)))
 
     def signed(s, tens, mat):
         res = canon_mono(s, tens, mat, ONE)
@@ -530,13 +562,13 @@ def compose_reference(P, Q, cutoff, drop=None):
             raise JetExhausted("jets exhausted")
         term = (Pk * Qk).scale(pref * GQ(Fraction(1, fact)))
         for key, c in term.terms.items():
-            spow, tens, mat = key
-            deg = 2 * spow + sum(1 for f in tens if f[0] == 'xi')
+            h, tens, mat = key
+            deg = h + sum(1 for f in tens if f[0] == 'xi')
             if deg < cutoff:
                 continue
             if drop is not None and drop(key):
                 continue
-            out._accum(spow, tens, mat, c)
+            out._accum(h, tens, mat, c)
         k += 1
         fact *= k
         pref = pref * GQ(0, -1)
@@ -581,9 +613,9 @@ def reference_run():
     real = symbols.canon_mono
     keys = {}
 
-    def spy(spow, tens, mat, coeff):
-        keys[spow, tens, mat] = None
-        return real(spow, tens, mat, coeff)
+    def spy(h, tens, mat, coeff):
+        keys[h, tens, mat] = None
+        return real(h, tens, mat, coeff)
 
     same = {}
     for name, P, Q, cut in _engine_compositions():
