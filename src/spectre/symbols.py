@@ -333,10 +333,6 @@ class SymbolExpr:
         e._accum(_half_powers(spow), tuple(tens), tuple(mat), _gq(coeff))
         return e
 
-    @classmethod
-    def const(cls, coeff):
-        return cls.mono(coeff=coeff)
-
     def _accum(self, h, tens, mat, coeff):
         c = canon_mono(h, tens, mat, coeff)
         if c is None:
@@ -383,13 +379,7 @@ class SymbolExpr:
         its canonical dummies -1..-k and the right one's are shifted below
         them."""
         out = SymbolExpr()
-        for (h1, t1, m1), c1 in self.terms.items():
-            k = _dummy_depth(t1 + m1)
-            for (h2, t2, m2), c2 in other.terms.items():
-                if _xdeg_t(t1) + _xdeg_t(t2) > X_JET_ORDER:
-                    continue
-                out._accum(h1 + h2, t1 + _shift_dummies(t2, k),
-                           m1 + _shift_dummies(m2, k), c1 * c2)
+        _add_products(out, self, other, ONE, -math.inf, None)
         return out
 
     # -- structure -----------------------------------------------------
@@ -399,21 +389,13 @@ class SymbolExpr:
     def __eq__(self, other):
         return isinstance(other, SymbolExpr) and self.terms == other.terms
 
-    def xi_degree_parts(self):
-        """Map xi-homogeneity degree, an int, -> sub-expression (x factors
-        count 0)."""
-        parts = {}
-        for key, c in self.terms.items():
-            e = parts.setdefault(_xi_grade(key), SymbolExpr())
-            e._put(key, c)
-        return parts
-
     def grade(self, deg):
-        return self.xi_degree_parts().get(deg, SymbolExpr())
+        """The terms of xi-grade deg (x factors count 0)."""
+        return _pruned(self, lambda key: _xi_grade(key) != deg)
 
     def max_grade(self):
-        parts = self.xi_degree_parts()
-        return max(parts) if parts else None
+        """The top xi-grade, None for zero."""
+        return max(map(_xi_grade, self.terms), default=None)
 
     def at_base(self):
         """Drop every monomial carrying an x factor."""
@@ -598,25 +580,9 @@ def compose(P, Q, cutoff, drop=None):
             raise JetExhausted(
                 f"composition needs {k} x-derivatives; jets stored to "
                 f"order {X_JET_ORDER}")
-        # the terms of Pk * Qk, scaled by (-i)^k/k!, each pair formed as
-        # in __mul__ and filtered before it is canonicalized
-        right = [(_xdeg_t(key[1]), _xi_grade(key), key, c)
-                 for key, c in Qk.terms.items()]
-        scalar = pref * GQ(Fraction(1, fact))
-        for key1, c1 in Pk.terms.items():
-            h1, t1, m1 = key1
-            x1 = _xdeg_t(t1)
-            g1 = _xi_grade(key1)
-            shift = _dummy_depth(t1 + m1)
-            c1 = c1 * scalar
-            for x2, g2, (h2, t2, m2), c2 in right:
-                if x1 + x2 > X_JET_ORDER or g1 + g2 < cutoff:
-                    continue
-                raw = (h1 + h2, t1 + _shift_dummies(t2, shift),
-                       m1 + _shift_dummies(m2, shift))
-                if drop is not None and drop(raw):
-                    continue
-                out._accum(*raw, c1 * c2)
+        # the terms of Pk * Qk, scaled by (-i)^k/k!
+        _add_products(out, Pk, Qk, pref * GQ(Fraction(1, fact)), cutoff,
+                      drop)
         k += 1
         fact *= k
         pref = pref * GQ(0, -1)
@@ -632,6 +598,30 @@ def compose(P, Q, cutoff, drop=None):
         if Pk.is_zero():
             break
     return out
+
+
+def _add_products(out, P, Q, scalar, cutoff, drop):
+    """Add scalar times the product of P and Q to out.  Each pair of terms
+    keeps the left one's canonical dummies and shifts the right one's
+    below them, and is filtered on its raw key before it is canonicalized:
+    it is discarded when its x count exceeds the jet order, its xi-grade
+    falls below `cutoff`, or `drop` marks it (see `compose`)."""
+    right = [(_xdeg_t(key[1]), _xi_grade(key), key, c)
+             for key, c in Q.terms.items()]
+    for key1, c1 in P.terms.items():
+        h1, t1, m1 = key1
+        x1 = _xdeg_t(t1)
+        g1 = _xi_grade(key1)
+        shift = _dummy_depth(t1 + m1)
+        c1 = c1 * scalar
+        for x2, g2, (h2, t2, m2), c2 in right:
+            if x1 + x2 > X_JET_ORDER or g1 + g2 < cutoff:
+                continue
+            raw = (h1 + h2, t1 + _shift_dummies(t2, shift),
+                   m1 + _shift_dummies(m2, shift))
+            if drop is not None and drop(raw):
+                continue
+            out._accum(*raw, c1 * c2)
 
 
 def _pruned(expr, drop):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import GQ, I, ONE
-from .symbols import (SymbolExpr, _pruned, compose, perm_parity,
+from .symbols import (SymbolExpr, _pruned, _xi_grade, compose, perm_parity,
                       relabel_free, sigma2_pow)
 
 # Reserved free index used for the open slot of first-order coefficients.
@@ -73,31 +73,27 @@ def _curvature_budget(key):
 def parametrix_D2():
     """Jets of the order -2, -3, -4 symbols of the inverse of the squared
     Dirac operator, from the geometric-series parametrix."""
-    full = _inverse_square_full()
+    full = power_symbol(1)
     return {-2: full.grade(-2), -3: full.grade(-3), -4: full.grade(-4)}
-
-
-@functools.cache
-def _inverse_square_full():
-    P0 = sigma2_pow(-1)
-    sD2 = symbol_D2()
-    one = SymbolExpr.const(ONE)
-    r = compose(sD2, P0, cutoff=-2, drop=_curvature_budget) - one
-    rr = compose(r, r, cutoff=-2, drop=_curvature_budget)
-    u = one - r + rr
-    return compose(P0, u, cutoff=-4, drop=_curvature_budget)
 
 
 @functools.cache
 def power_symbol(m):
     """Jets of the three leading symbols of the (-2m)-th power, grades
-    -2m .. -2m-2: the (-2m+2)-th power composed with the inverse square."""
+    -2m .. -2m-2: for m = 1 the geometric-series parametrix of the squared
+    Dirac operator, and the (-2m+2)-th power composed with it above."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return _inverse_square_full()
-    return compose(power_symbol(m - 1), _inverse_square_full(),
-                   cutoff=-2 * m - 2, drop=_curvature_budget)
+    if m > 1:
+        return compose(power_symbol(m - 1), power_symbol(1),
+                       cutoff=-2 * m - 2, drop=_curvature_budget)
+    P0 = sigma2_pow(-1)
+    sD2 = symbol_D2()
+    one = SymbolExpr.mono(coeff=ONE)
+    r = compose(sD2, P0, cutoff=-2, drop=_curvature_budget) - one
+    rr = compose(r, r, cutoff=-2, drop=_curvature_budget)
+    u = one - r + rr
+    return compose(P0, u, cutoff=-4, drop=_curvature_budget)
 
 
 def inverse_power(m):
@@ -184,7 +180,7 @@ def cosphere_integrate(expr, p):
     homogeneous of degree 0 after the norm has been set to 1."""
     _check_p(p)
     expr = expr.at_base()
-    if len(expr.xi_degree_parts()) > 1:
+    if len({_xi_grade(key) for key in expr.terms}) > 1:
         raise ValueError("cosphere integrand must be homogeneous")
     expr = expr.mod_norm()
     out = SymbolExpr()
@@ -403,7 +399,7 @@ def word_trace_poly(word):
     if len(word) % 2 == 1:
         return ()
     if not word:
-        return (SymbolExpr.const(ONE),)
+        return (SymbolExpr.mono(coeff=ONE),)
     a = word[0]
     out = ()
     for j in range(1, len(word)):
@@ -573,9 +569,3 @@ def action_from_invariant(inv, p, torsion=True):
     coeff_t2 = traced.t2 if torsion else Fraction(0)
     # the boundary term integrates to zero against the volume form
     return GravityAction(p, torsion, traced.R, coeff_t2)
-
-
-def quadratic_form_coeff(p):
-    """Coefficient of the positive quadratic form in the torsion
-    components, as a rational multiple of c(p)."""
-    return gravity_action(p, torsion=True).coeff_t2

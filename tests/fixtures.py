@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from spectre import symbols
 from spectre import univdiff as ud
 from spectre import wodzicki
 from spectre.clifford import Signature, build_gammas
@@ -93,7 +94,40 @@ def _as_pair_gq(x):
 
 
 # ----------------------------------------------------------------------
-# symbols: labels for expressions built by hand
+# symbols: xi-grades read without the engine, the product on a pair loop
+# of its own, and labels for expressions built by hand
+
+def xi_grade(key):
+    """The xi-grade of a key (h, tens, mat) of `SymbolExpr.terms`: h, the
+    norm power in half-powers, plus the number of xi factors."""
+    h, tens, _ = key
+    return h + sum(1 for f in tens if f[0] == 'xi')
+
+
+def xi_grade_parts(expr):
+    """Map each xi-grade of expr to the expression of its terms."""
+    parts = {}
+    for key, c in expr.terms.items():
+        parts.setdefault(xi_grade(key), SymbolExpr()).terms[key] = c
+    return parts
+
+
+def mul_reference(P, Q):
+    """Oracle of `SymbolExpr.__mul__`: its own pair loop.  Each left
+    monomial keeps its canonical dummies -1..-k and the right one's are
+    shifted below them; a pair with more x factors than the stored jet
+    order is dropped."""
+    out = SymbolExpr()
+    for (h1, t1, m1), c1 in P.terms.items():
+        k = symbols._dummy_depth(t1 + m1)
+        for (h2, t2, m2), c2 in Q.terms.items():
+            if symbols._xdeg_t(t1) + symbols._xdeg_t(t2) > \
+                    symbols.X_JET_ORDER:
+                continue
+            out._accum(h1 + h2, t1 + symbols._shift_dummies(t2, k),
+                       m1 + symbols._shift_dummies(m2, k), c1 * c2)
+    return out
+
 
 # fresh_label() hands out distinct positive labels from FRESH_BASE upward;
 # the engine itself never calls it

@@ -201,9 +201,9 @@ def test_criterion_03_gravity_action():
 
 
 def test_criterion_04_quadratic_form():
-    ok = w.quadratic_form_coeff(2) == 0
+    ok = w.gravity_action(2, torsion=True).coeff_t2 == 0
     for p in range(3, 9):
-        ok &= w.quadratic_form_coeff(p) > 0
+        ok &= w.gravity_action(p, torsion=True).coeff_t2 > 0
     assert report(4, ok, "torsion quadratic form")
 
 

@@ -521,7 +521,6 @@ def test_wres_sweep_in_one_process_matches_goldens(capsys):
     and serve every p; a sweep that builds them for p = 12 and then
     descends leaks no state into the golden outputs."""
     wodzicki.power_symbol.cache_clear()
-    wodzicki._inverse_square_full.cache_clear()
     wodzicki.abs_symbol.cache_clear()
     wodzicki._group_trace_poly.cache_clear()
     wodzicki.word_trace_poly.cache_clear()

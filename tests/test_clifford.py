@@ -277,7 +277,7 @@ def _reference_rec(lbls, p):
     if len(lbls) % 2 == 1:
         return SymbolExpr()
     if not lbls:
-        return SymbolExpr.const(GQ(2 ** (p // 2)))
+        return SymbolExpr.mono(coeff=GQ(2 ** (p // 2)))
     a = lbls[0]
     out = SymbolExpr()
     for j in range(1, len(lbls)):

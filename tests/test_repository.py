@@ -229,7 +229,6 @@ LIBRARY_API = {
     "univdiff.DiagonalModel.star_word": "the word of a*, which chain_star "
                                         "reads",
     "wodzicki.gravity_action": "the action coefficients of one p",
-    "wodzicki.quadratic_form_coeff": "the torsion quadratic form of one p",
     "wodzicki.inverse_power": "the symbols of a negative power of D^2",
     "wodzicki.parametrix_D2": "the parametrix jets of D^2",
     "wodzicki.gamma_word_trace": "the spinor trace of one gamma word",

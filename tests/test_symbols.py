@@ -4,16 +4,19 @@ import contextlib
 import importlib
 import io
 import itertools
+import operator
 import pkgutil
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectre
-from fixtures import fresh_label, half_powers, numeric_word_trace
+from fixtures import (fresh_label, half_powers, mul_reference,
+                      numeric_word_trace, xi_grade, xi_grade_parts)
 from spectre import clifford, symbols, wodzicki
 from spectre.cli import main
 from spectre.rationals import GQ, I, ONE
@@ -97,7 +100,7 @@ def test_mul_contracts_shared_free_labels():
 
 def test_compose_identity_symbol():
     q = sigma2_pow(-1) + mono(mat=(('b',),))
-    one = SymbolExpr.const(ONE)
+    one = SymbolExpr.mono(coeff=ONE)
     assert compose(one, q, cutoff=-4).terms == q.terms
     assert compose(q, one, cutoff=-4).terms == q.terms
 
@@ -133,8 +136,8 @@ def test_compose_associative_on_random_small_symbols():
         cut = pP + pQ + pR - 2
         lhs = compose(compose(P, Q, cutoff=pP + pQ - 2), R, cutoff=cut)
         rhs = compose(P, compose(Q, R, cutoff=pQ + pR - 2), cutoff=cut)
-        lparts = lhs.xi_degree_parts()
-        rparts = rhs.xi_degree_parts()
+        lparts = xi_grade_parts(lhs)
+        rparts = xi_grade_parts(rhs)
         for g in set(lparts) | set(rparts):
             if g >= cut:
                 assert lparts.get(g, SymbolExpr()).terms == \
@@ -149,9 +152,35 @@ def test_jet_exhausted_raises():
         compose(P, Q, cutoff=-1)
 
 
+def test_compose_past_the_jets_with_an_x_free_right_factor():
+    """The terms past the stored jet order differentiate the right factor
+    in x, so against a factor without x they are absent, not exhausted."""
+    P = mono(spow=3)
+    Q = mono(tens=(('xi', 1000),), mat=(('b',),))
+    assert compose(P, Q, cutoff=-1).terms == \
+        mono(spow=3, tens=(('xi', 1000),), mat=(('b',),)).terms
+
+
+def test_compose_with_a_zero_factor_is_zero():
+    q = sigma2_pow(-1) + mono(mat=(('b',),))
+    assert compose(SymbolExpr(), q, cutoff=-4).is_zero()
+    assert compose(q, SymbolExpr(), cutoff=-4).is_zero()
+
+
+def test_compose_derivative_labels_avoid_free_labels():
+    """The derivative labels sit above every free label of both factors,
+    not only of some terms: here the constant term has none, and xi_1
+    and x^2 keep theirs."""
+    P = mono(tens=(('xi', 1),)) + mono()
+    Q = mono(tens=(('x', 2),))
+    expect = mono(tens=(('xi', 1), ('x', 2))) + Q + \
+        mono(coeff=GQ(0, -1), tens=(('dl', 1, 2),))
+    assert compose(P, Q, cutoff=-2).terms == expect.terms
+
+
 def test_grading_bookkeeping():
     e = sigma2_pow(Fraction(-3, 2))
-    parts = e.xi_degree_parts()
+    parts = xi_grade_parts(e)
     assert set(parts) == {Fraction(-3)}
 
 
@@ -162,7 +191,7 @@ def test_norm_power_outside_half_integers_is_refused():
         with pytest.raises(ValueError, match="norm power 1/3 "):
             build(Fraction(1, 3))
     assert mono(spow=Fraction(-3, 2)).terms == {(-3, (), ()): ONE}
-    assert set(sigma2_pow(Fraction(1, 2)).xi_degree_parts()) == {1}
+    assert set(xi_grade_parts(sigma2_pow(Fraction(1, 2)))) == {1}
 
 
 def _engine_keys():
@@ -535,14 +564,16 @@ def test_canonical_keys_are_fixed_points_on_random_monomials(key):
 def compose_reference(P, Q, cutoff, drop=None):
     """`compose` as it was before it filtered product pairs ahead of
     canonicalization: each k-th term is the canonical product Pk * Qk,
-    scaled by (-i)^k/k!, then filtered by cutoff and `drop`."""
+    scaled by (-i)^k/k!, then filtered by cutoff and `drop`.  The product
+    is `mul_reference` and the grades are `xi_grade`, so the oracle shares
+    no pair loop and no grade bookkeeping with `compose`."""
     cutoff = Fraction(cutoff)
     if drop is not None:
         P = symbols._pruned(P, drop)
         Q = symbols._pruned(Q, drop)
     out = SymbolExpr()
-    p_max = P.max_grade()
-    q_max = Q.max_grade()
+    p_max = max(map(xi_grade, P.terms), default=None)
+    q_max = max(map(xi_grade, Q.terms), default=None)
     if p_max is None or q_max is None:
         return out
     q_has_x = any(f[0] == 'x' for (_, tens, _m) in Q.terms for f in tens)
@@ -560,11 +591,10 @@ def compose_reference(P, Q, cutoff, drop=None):
             if Pk.is_zero() or not q_has_x:
                 break
             raise JetExhausted("jets exhausted")
-        term = (Pk * Qk).scale(pref * GQ(Fraction(1, fact)))
+        term = mul_reference(Pk, Qk).scale(pref * GQ(Fraction(1, fact)))
         for key, c in term.terms.items():
             h, tens, mat = key
-            deg = h + sum(1 for f in tens if f[0] == 'xi')
-            if deg < cutoff:
+            if xi_grade(key) < cutoff:
                 continue
             if drop is not None and drop(key):
                 continue
@@ -589,12 +619,12 @@ def _engine_compositions():
     two of |D|, and the odd-p integrands p = 3..11."""
     w = wodzicki
     P0 = sigma2_pow(-1)
-    one = SymbolExpr.const(ONE)
+    one = SymbolExpr.mono(coeff=ONE)
     r = compose(w.symbol_D2(), P0, cutoff=-2, drop=w._curvature_budget)
     u = one - r + compose(r, r, cutoff=-2, drop=w._curvature_budget)
     out = [("sD2*P0", w.symbol_D2(), P0, -2), ("r*r", r, r, -2),
            ("P0*u", P0, u, -4)]
-    out += [(f"power{m}", w.power_symbol(m - 1), w._inverse_square_full(),
+    out += [(f"power{m}", w.power_symbol(m - 1), w.power_symbol(1),
              -2 * m - 2) for m in range(2, 6)]
     s1, s0, sm1 = w.abs_symbol()
     out += [("s1*s1", s1, s1, 0), ("known*known", s1 + s0, s1 + s0, 0)]
@@ -648,7 +678,92 @@ def test_canon_matches_brute_force_on_reference_products(reference_run):
 
 def test_compose_matches_reference_without_drop():
     P = wodzicki.symbol_D2()
-    Q = wodzicki._inverse_square_full()
+    Q = wodzicki.power_symbol(1)
     for cut in (-1, -2, -3):
         assert compose(P, Q, cut).terms == \
             compose_reference(P, Q, cut).terms
+
+
+# ----------------------------------------------------------------------
+# the product, which shares the pair loop of compose, against its own
+
+def _caller(frame):
+    """The function a product was written in, through any generator
+    expression around it."""
+    while frame.f_code.co_name.startswith('<'):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def test_mul_matches_reference_on_engine_products(monkeypatch):
+    """Every product a fresh `wres --p 3..12` sweep makes, torsion on and
+    off: abs_symbol's inv_half * rem, group_residual's a * a, and the
+    piece and word products of the spinor traces."""
+    real = SymbolExpr.__mul__
+    seen = []
+
+    def spy(P, Q):
+        seen.append((_caller(sys._getframe(1)), P, Q))
+        return real(P, Q)
+
+    for cache in _caches(ENGINE_MODULES):
+        cache.cache_clear()
+    monkeypatch.setattr(SymbolExpr, "__mul__", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for p in range(3, 13):
+            for torsion in ("on", "off"):
+                assert main(["wres", "--p", str(p),
+                             "--torsion", torsion]) == 0
+    monkeypatch.undo()
+    assert {name for name, _, _ in seen} == \
+        {"abs_symbol", "group_residual", "spinor_trace_poly",
+         "word_trace_poly"}
+    bad = [(name, P, Q) for name, P, Q in seen
+           if P * Q != mul_reference(P, Q)]
+    assert bad == []
+
+
+@st.composite
+def small_monomials(draw):
+    """A monomial of up to two xi, R, t, w or Rs factors, up to two x
+    factors and up to two matrix factors.  Its free labels are drawn from
+    1..4, so that the monomials of two symbols share some and contract in
+    their product; the other labels are paired into dummies."""
+    kinds = draw(st.lists(st.sampled_from(['xi', 'R', 't', 'w', 'Rs']),
+                          max_size=2)) + ['x'] * draw(st.integers(0, 2))
+    mat_kinds = draw(st.lists(st.sampled_from(sorted(MAT_ARITY)),
+                              max_size=2))
+    shapes = [(k, HEAVY_ARITY.get(k, 1)) for k in kinds] + \
+        [(k, MAT_ARITY[k]) for k in mat_kinds]
+    n = sum(a for _, a in shapes)
+    slots = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(max(0, n - 3) // 2, n // 2))
+    free = draw(st.lists(st.integers(1, 4), unique=True,
+                         min_size=n - 2 * pairs, max_size=n - 2 * pairs))
+    at = [0] * n
+    for m in range(pairs):
+        at[slots[2 * m]] = at[slots[2 * m + 1]] = -m - 1
+    for pos, lab in zip(slots[2 * pairs:], free):
+        at[pos] = lab
+    factors, pos = [], 0
+    for kind, arity in shapes:
+        factors.append((kind,) + tuple(at[pos:pos + arity]))
+        pos += arity
+    return mono(coeff=GQ(draw(st.integers(1, 3)), draw(st.integers(-3, 3))),
+                spow=Fraction(draw(st.integers(-4, 2)), 2),
+                tens=factors[:len(kinds)], mat=factors[len(kinds):])
+
+
+@st.composite
+def small_symbols(draw):
+    """A sum of one to three `small_monomials`."""
+    e = SymbolExpr()
+    for term in draw(st.lists(small_monomials(), min_size=1, max_size=3)):
+        e = e + term
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_symbols(), small_symbols())
+def test_mul_matches_reference_on_random_symbols(P, Q):
+    assert _outcome(operator.mul, (P, Q)) == _outcome(mul_reference, (P, Q))

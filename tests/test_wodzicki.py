@@ -81,7 +81,7 @@ def test_parametrix_defining_property():
     total = par[-2] + par[-3] + par[-4]
     left = compose(w.symbol_D2(), total, cutoff=-2,
                    drop=w._curvature_budget)
-    assert left.terms == SymbolExpr.const(ONE).terms
+    assert left.terms == SymbolExpr.mono(coeff=ONE).terms
 
 
 def test_inverse_power_base_case_matches_parametrix():
@@ -163,7 +163,7 @@ def test_integrand_homogeneity_bookkeeping():
     is set to 1, so the cosphere restriction is well-defined."""
     for p in (3, 4, 5, 6):
         raw = w.integrand(p)
-        parts = raw.xi_degree_parts()
+        parts = fixtures.xi_grade_parts(raw)
         assert set(parts) == {Fraction(-p)}
 
 
@@ -230,6 +230,19 @@ def test_cosphere_quartic_curvature_vanishes():
     e = fixtures.xixi_R_xixi(spow=0)
     inv = w.cosphere_integrate(e, p)
     assert not any(inv.as_dict().values())
+
+
+def test_cosphere_quartic_moment():
+    """xi_a xi_b xi_c xi_d averages to the sum of its three delta pairings
+    over p(p + 2).  Against dT(a,b) dT(c,d) the pairings are three
+    different matrix words, each a boundary term."""
+    labs = [fl() for _ in range(4)]
+    e = mono(tens=tuple(xi(l) for l in labs),
+             mat=(('dT', labs[0], labs[1]), ('dT', labs[2], labs[3])))
+    for p in (3, 4, 8):
+        inv = w.cosphere_integrate(e, p).as_dict()
+        assert inv.pop('boundary') == Fraction(3, p * (p + 2))
+        assert not any(inv.values())
 
 
 def test_cosphere_rejects_moments_beyond_degree_four():
@@ -463,11 +476,12 @@ def test_gravity_action_path_independent():
 
 
 def test_quadratic_form_coeff():
-    assert w.quadratic_form_coeff(2) == 0
+    assert w.gravity_action(2, torsion=True).coeff_t2 == 0
     for p in range(3, 9):
-        assert w.quadratic_form_coeff(p) == Fraction(3 * (p - 2), 2) > 0
+        assert w.gravity_action(p, torsion=True).coeff_t2 == \
+            Fraction(3 * (p - 2), 2) > 0
     with pytest.raises(ValueError):
-        w.quadratic_form_coeff(1)
+        w.gravity_action(1, torsion=True).coeff_t2
 
 
 def test_dimension_guard():
