@@ -140,12 +140,79 @@ def fresh_label():
 
 
 # ----------------------------------------------------------------------
-# clifford: the gamma-word trace from concrete matrices
+# clifford: monomial matrices as dense complex arrays; the tensor ladder
+# on NumPy arrays, the form `spectre.clifford` had before it held each
+# matrix as a permutation with a phase per row, and the oracle of that
+# form; the gamma-word trace from concrete matrices
+
+_PHASES = (1, 1j, -1, -1j)
+
+
+def dense(m):
+    """The complex array of a monomial matrix of `spectre.clifford`: row i
+    holds i**k in column c for its pair (c, k).  Anything else, a NumPy
+    array included, is refused, so no array is ever read as a list of
+    pairs."""
+    if not isinstance(m, tuple) or not all(
+            isinstance(row, tuple) and len(row) == 2
+            and all(type(x) is int for x in row) for row in m):
+        raise TypeError(f"not a monomial matrix: {m!r}")
+    if sorted(c for c, _ in m) != list(range(len(m))) or \
+            not all(0 <= k < 4 for _, k in m):
+        raise ValueError(f"not a monomial matrix: {m!r}")
+    out = np.zeros((len(m), len(m)), dtype=complex)
+    for i, (c, k) in enumerate(m):
+        out[i, c] = _PHASES[k]
+    return out
+
+
+_S1 = np.array([[0, 1], [1, 0]], dtype=complex)
+_S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def euclidean_gammas_reference(p):
+    """The Euclidean tensor ladder on complex arrays: gamma^1 = [i],
+    p -> p+2 by (g x s3, 1 x i s1, 1 x i s2); an odd top generator is the
+    product of the previous ones, times i where it squares to 1."""
+    if p == 1:
+        return [np.array([[1j]], dtype=complex)]
+    if p % 2 == 1:
+        base = euclidean_gammas_reference(p - 1)
+        top = np.eye(base[0].shape[0], dtype=complex)
+        for g in base:
+            top = top @ g
+        if (top @ top)[0, 0] == 1:
+            top = 1j * top
+        return base + [top]
+    if p == 2:
+        return [1j * _S1, 1j * _S2]
+    sub = euclidean_gammas_reference(p - 2)
+    eye = np.eye(sub[0].shape[0], dtype=complex)
+    out = [np.kron(g, _S3) for g in sub]
+    out.append(np.kron(eye, 1j * _S1))
+    out.append(np.kron(eye, 1j * _S2))
+    return out
+
+
+def gammas_reference(sig):
+    """The ladder's generators for a signature, the last s times i."""
+    gammas = euclidean_gammas_reference(sig.p)
+    return gammas[:sig.r] + [1j * g for g in gammas[sig.r:]]
+
+
+def chirality_reference(gammas):
+    """i^[(p+1)/2] g^1 ... g^p."""
+    w = np.eye(gammas[0].shape[0], dtype=complex)
+    for g in gammas:
+        w = w @ g
+    return (1j) ** ((len(gammas) + 1) // 2) * w
+
 
 def numeric_word_trace(word, p):
     """Oracle of `wodzicki.gamma_word_trace`: the same trace from concrete
     matrices, contracting repeated labels by explicit index summation."""
-    gs = build_gammas(Signature(p, 0))
+    gammas = [dense(g) for g in build_gammas(Signature(p, 0)).gammas]
     labels = sorted(set(word))
     free = [l for l in labels if word.count(l) == 1]
     dummies = [l for l in labels if word.count(l) == 2]
@@ -154,9 +221,9 @@ def numeric_word_trace(word, p):
 
     def rec(assign, remaining):
         if not remaining:
-            m = np.eye(gs.dim, dtype=complex)
+            m = np.eye(len(gammas[0]), dtype=complex)
             for l in word:
-                m = m @ gs.gammas[assign[l]]
+                m = m @ gammas[assign[l]]
             return np.trace(m)
         tot = 0
         for v in range(p):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import numeric_word_trace
+from fixtures import (chirality_reference, dense, gammas_reference,
+                      numeric_word_trace)
 from spectre import clifford as cl
 from spectre import wodzicki
 from spectre.rationals import GQ, ONE
@@ -19,15 +20,15 @@ from spectre.symbols import SymbolExpr
 
 
 def test_dimension_one():
-    g = cl.build_gammas(cl.Signature(1, 0))
-    assert g.gammas[0].shape == (1, 1)
-    assert g.gammas[0][0, 0] == 1j
-    assert (g.gammas[0] @ g.gammas[0])[0, 0] == -1
+    g = dense(cl.build_gammas(cl.Signature(1, 0)).gammas[0])
+    assert g.shape == (1, 1)
+    assert g[0, 0] == 1j
+    assert (g @ g)[0, 0] == -1
 
 
 def test_euclidean_two_dimensional():
     g = cl.build_gammas(cl.Signature(2, 0))
-    a, b = g.gammas
+    a, b = map(dense, g.gammas)
     eye = np.eye(2)
     assert np.array_equal(a @ b + b @ a, 0 * eye)
     assert np.array_equal(a @ a, -eye)
@@ -42,6 +43,48 @@ def test_anticommutators_all_signatures():
         cl.build_gammas(cl.Signature(r, s))  # construction self-checks
 
 
+def test_monomial_matrices_match_the_numpy_ladder():
+    """Every generator of every signature with p <= 12, and every
+    Euclidean chirality, is the NumPy ladder's, entry for entry.  The
+    dense generators anticommute as the signature says, the first r are
+    anti-Hermitian and the rest Hermitian; for p = 1..8 the dense C is
+    unitary and the direct search's first C that meets the table."""
+    for p in range(1, cl.MAX_DIM + 1):
+        for r in range(p + 1):
+            sig = cl.Signature(r, p - r)
+            gammas = [dense(g) for g in cl.build_gammas(sig).gammas]
+            assert len(gammas) == p
+            eye = np.eye(len(gammas[0]))
+            for a, (ga, want) in enumerate(zip(gammas,
+                                               gammas_reference(sig))):
+                assert np.array_equal(ga, want), (sig, a)
+                assert np.array_equal(ga.conj().T, -ga if a < r else ga)
+                for b, gb in enumerate(gammas):
+                    eta = 0 if a != b else 1 if a < r else -1
+                    assert np.array_equal(ga @ gb + gb @ ga,
+                                          -2 * eta * eye), (sig, a, b)
+        gs = cl.build_gammas(cl.Signature(p, 0))
+        assert np.array_equal(
+            dense(cl.chirality(gs)),
+            chirality_reference(gammas_reference(gs.signature))), p
+    for p in range(1, 9):
+        C = dense(cl.find_real_structure(p).C)
+        assert np.array_equal(C @ C.conj().T, np.eye(len(C))), p
+        _, found = _searched_real_structures(p)
+        want = next(row[0] for row in found
+                    if row[1:] == cl.REAL_STRUCTURE_TABLE[p % 8])
+        assert np.array_equal(C, want), p
+
+
+@pytest.mark.parametrize("m", [np.eye(2), [(0, 0)], ((0, 0), (0, 1)),
+                               ((0, 4),), ((0, 1.0),), ((0,),)])
+def test_dense_refuses_anything_but_a_monomial_matrix(m):
+    """An array or a list is no monomial matrix; NumPy would read a tuple
+    of pairs as a (d, 2) array where it meets one."""
+    with pytest.raises((TypeError, ValueError), match="not a monomial"):
+        dense(m)
+
+
 def test_indefinite_pair_matches_reference_generators():
     """The (1,1) generators satisfy the same relations as the reference
     matrix pair [[v2, v1], [-v1, -v2]], and an explicit intertwiner
@@ -53,7 +96,7 @@ def test_indefinite_pair_matches_reference_generators():
     assert np.array_equal(e2 @ e2, eye)    # minus direction squares to +1
     assert np.array_equal(e1 @ e2 + e2 @ e1, 0 * eye)
     g = cl.build_gammas(cl.Signature(1, 1))
-    f1, f2 = g.gammas
+    f1, f2 = map(dense, g.gammas)
     assert np.array_equal(f1 @ f1, -eye)
     assert np.array_equal(f2 @ f2, eye)
     assert np.array_equal(f1 @ f2 + f2 @ f1, 0 * eye)
@@ -77,18 +120,18 @@ def _nullspace(m):
 def test_chirality_even():
     for p in (2, 4):
         g = cl.build_gammas(cl.Signature(p, 0))
-        w = cl.chirality(g)
+        w = dense(cl.chirality(g))
         assert np.array_equal(w @ w, np.eye(g.dim))
-        for ga in g.gammas:
+        for ga in map(dense, g.gammas):
             assert np.array_equal(w @ ga, -ga @ w)
-    w4 = cl.chirality(cl.build_gammas(cl.Signature(4, 0)))
+    w4 = dense(cl.chirality(cl.build_gammas(cl.Signature(4, 0))))
     assert np.trace(w4) == 0
 
 
 def test_chirality_odd_central():
     g = cl.build_gammas(cl.Signature(3, 0))
-    w = cl.chirality(g)
-    for ga in g.gammas:
+    w = dense(cl.chirality(g))
+    for ga in map(dense, g.gammas):
         assert np.array_equal(w @ ga, ga @ w)
 
 
@@ -105,11 +148,12 @@ def test_real_structure_table():
 def test_real_structure_constraints_hold():
     for p in (2, 4, 5):
         rs = cl.find_real_structure(p)
+        C = dense(rs.C)
         g = cl.build_gammas(cl.Signature(p, 0))
         eye = np.eye(g.dim)
-        assert np.allclose(rs.C @ rs.C.conj(), rs.eps * eye)
-        for ga in g.gammas:
-            assert np.allclose(rs.C @ ga.conj(), rs.eps_prime * ga @ rs.C)
+        assert np.allclose(C @ C.conj(), rs.eps * eye)
+        for ga in map(dense, g.gammas):
+            assert np.allclose(C @ ga.conj(), rs.eps_prime * ga @ C)
 
 
 def _scalar_of(m):
@@ -120,15 +164,24 @@ def _scalar_of(m):
     return None
 
 
+def _normalize_phase(m):
+    """m times the phase that makes its first nonzero entry 1."""
+    for z in m.flatten():
+        if z != 0:
+            return m * (abs(z) / z)
+    raise ValueError("zero matrix")
+
+
 def _searched_real_structures(p):
-    """The reference search: every product of distinct generators, in
-    construction order, with sign +1 before -1, kept when C conj(g) =
-    s g C for every generator and C conj(C) is +-1; C is phase-normalized
-    and eps'' read through matrix inverses.  Rows (C, eps, eps', eps'')."""
-    gs = cl.build_gammas(cl.Signature(p, 0))
-    omega = cl.chirality(gs) if p % 2 == 0 else None
-    monomials = [np.eye(gs.dim, dtype=complex)]
-    for g in gs.gammas:
+    """The reference search on the NumPy ladder: every product of distinct
+    generators, in construction order, with sign +1 before -1, kept when
+    C conj(g) = s g C for every generator and C conj(C) is +-1; C is
+    phase-normalized and eps'' read through matrix inverses.  The
+    generators and rows (C, eps, eps', eps'')."""
+    gammas = gammas_reference(cl.Signature(p, 0))
+    omega = chirality_reference(gammas) if p % 2 == 0 else None
+    monomials = [np.eye(len(gammas[0]), dtype=complex)]
+    for g in gammas:
         monomials += [m @ g for m in monomials]
     found = []
     for m in monomials:
@@ -136,16 +189,16 @@ def _searched_real_structures(p):
         for sgn in (1, -1):
             if eps not in (1, -1) or not all(
                     np.array_equal(m @ g.conj(), sgn * (g @ m))
-                    for g in gs.gammas):
+                    for g in gammas):
                 continue
-            C = cl._normalize_phase(m)
+            C = _normalize_phase(m)
             epp = None
             if omega is not None:
                 val = _scalar_of(np.linalg.inv(omega) @ C @ omega.conj()
                                  @ np.linalg.inv(C))
                 epp = int(val.real) if val is not None else None
             found.append((C, int(eps.real), sgn, epp))
-    return gs, found
+    return gammas, found
 
 
 def test_real_structure_candidates_match_the_direct_search():
@@ -153,11 +206,11 @@ def test_real_structure_candidates_match_the_direct_search():
     imaginary or of the real generators, and find_real_structure returns
     exactly the search's first candidate that meets the table."""
     for p in range(1, 9):
-        gs, found = _searched_real_structures(p)
-        imaginary = [g for g in gs.gammas if np.array_equal(g.conj(), -g)]
-        real = [g for g in gs.gammas if np.array_equal(g.conj(), g)]
-        products = [cl._normalize_phase(functools.reduce(
-            np.matmul, gens, np.eye(gs.dim, dtype=complex)))
+        gammas, found = _searched_real_structures(p)
+        imaginary = [g for g in gammas if np.array_equal(g.conj(), -g)]
+        real = [g for g in gammas if np.array_equal(g.conj(), g)]
+        products = [_normalize_phase(functools.reduce(
+            np.matmul, gens, np.eye(len(gammas[0]), dtype=complex)))
             for gens in (imaginary, real)]
         assert found, p
         for C, *_ in found:
@@ -165,7 +218,7 @@ def test_real_structure_candidates_match_the_direct_search():
         want = next(row for row in found
                     if row[1:] == cl.REAL_STRUCTURE_TABLE[p % 8])
         rs = cl.find_real_structure(p)
-        assert np.array_equal(rs.C, want[0]), p
+        assert np.array_equal(dense(rs.C), want[0]), p
         assert (rs.eps, rs.eps_prime, rs.eps_double_prime) == want[1:], p
 
 
@@ -178,8 +231,9 @@ def test_real_structure_without_a_matching_candidate(monkeypatch):
 
 
 def test_real_structure_needs_real_or_imaginary_generators(monkeypatch):
+    # diag(1, i)
     monkeypatch.setattr(cl, "build_gammas", lambda sig: cl.GammaSet(
-        sig, [np.array([[1 + 1j]])]))
+        sig, [((0, 0), (1, 1))]))
     with pytest.raises(AssertionError, match="neither real nor imaginary"):
         cl.find_real_structure(1)
 
@@ -198,7 +252,8 @@ def test_gamma_checks_survive_optimized_mode():
         filter(None, (src, env.get("PYTHONPATH"))))
     code = ("import sys, spectre.clifford as cl\n"
             "good = cl._euclidean_gammas\n"
-            "cl._euclidean_gammas = lambda p: [good(p)[0]] * p\n"
+            "cl._euclidean_gammas = lambda p: (\n"
+            "    [good(p)[0]] * p if p else [])\n"
             "try:\n"
             "    cl.build_gammas(cl.Signature(4, 0))\n"
             "except AssertionError as exc:\n"
@@ -373,11 +428,11 @@ def test_quaternionic_relations_low_dimensions():
     """e = J, f = i, g = Ji square to -1 and obey the cyclic relations in
     dimensions 2, 3, 4."""
     for p in (2, 3, 4):
-        rs = cl.find_real_structure(p)
-        dim = rs.C.shape[0]
+        C = dense(cl.find_real_structure(p).C)
+        dim = C.shape[0]
 
         def J(v):
-            return rs.C @ v.conj()
+            return C @ v.conj()
 
         rng = np.random.default_rng(1)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

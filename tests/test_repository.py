@@ -75,16 +75,19 @@ def test_clifford_imports_nothing_from_spectre():
     assert _imports("clifford") & set(LAYERS) == set()
 
 
-@pytest.mark.parametrize("module", ("rationals", "symbols", "wodzicki"))
+@pytest.mark.parametrize("module", ("rationals", "symbols", "wodzicki",
+                                    "clifford"))
 def test_exact_layers_import_no_numerics(module):
     assert _imports(module) & {"numpy", "scipy"} == set()
 
 
-def test_wres_runs_without_numpy():
+@pytest.mark.parametrize("argv", (["wres", "--p", "3"], ["clifford-table"]),
+                         ids=("wres", "clifford-table"))
+def test_wres_runs_without_numpy(argv):
     code = ("import contextlib, io, sys\n"
             "from spectre import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = cli.main(['wres', '--p', '3'])\n"
+            f"    rc = cli.main({argv!r})\n"
             "print(rc, 'numpy' in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
